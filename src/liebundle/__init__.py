@@ -9,12 +9,11 @@ decisions are made in exact rational arithmetic.
 from __future__ import annotations
 
 from .algebra_core import (CompatibilityReport, JacobiReport,
-                           MixedJacobiReport, StructureConstants, ad_matrix,
-                           basis_vector, bracket_eval, builtin_algebra,
-                           center_basis, coboundary_of_one_cochain,
-                           compatibility_check, make_structure_constants,
-                           mixed_jacobi_check, pencil_bracket,
-                           structure_constants_from_json,
+                           StructureConstants, ad_matrix, basis_vector,
+                           bracket_eval, builtin_algebra, center_basis,
+                           coboundary_of_one_cochain, compatibility_check,
+                           make_structure_constants, mixed_jacobi_check,
+                           pencil_bracket, structure_constants_from_json,
                            structure_constants_to_json, sum_bracket_table,
                            validate_structure_constants)
 from .errors import InternalCheckError, SizeCapError

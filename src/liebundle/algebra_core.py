@@ -11,11 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import frac_matrix, nullspace, zeros_matrix
+from .linalg import frac_matrix, identity_matrix, nullspace, zeros_matrix
 from .rationals import as_fraction, format_rational
 
 MAX_DIM = 64
@@ -42,19 +44,9 @@ class JacobiReport:
 
 
 @dataclass(frozen=True)
-class MixedJacobiReport:
-  ok: bool
-  violation: tuple[int, int, int, int] | None = None
-  residual: Fraction | None = None
-
-  def __bool__(self) -> bool:
-    return self.ok
-
-
-@dataclass(frozen=True)
 class CompatibilityReport:
   compatible: bool
-  mixed: MixedJacobiReport
+  mixed: JacobiReport
   sum_jacobi: JacobiReport
 
   def __bool__(self) -> bool:
@@ -123,11 +115,11 @@ def builtin_algebra(name: str) -> StructureConstants:
     return make_structure_constants(p, {}, name=name)
   if p < 2:
     raise ValueError(f"{family}(p) requires p >= 2")
-  if family == "so":
-    basis = so_matrix_basis(p)
-    return _matrix_algebra_constants(basis, _so_coordinates, name=name)
-  basis = [_unit_matrix(p, a, b) for a in range(p) for b in range(p)]
-  return _matrix_algebra_constants(basis, _gl_coordinates, name=name)
+  dim = p * (p - 1) // 2 if family == "so" else p * p
+  if dim > MAX_DIM:
+    raise ValueError(f"{name} has dimension {dim}, above the cap {MAX_DIM}")
+  table = _so_table(p, identity_matrix(p)) if family == "so" else _gl_table(p)
+  return make_structure_constants(dim, table, name=name)
 
 
 def so_matrix_basis(p: int) -> list[np.ndarray]:
@@ -142,47 +134,37 @@ def so_matrix_basis(p: int) -> list[np.ndarray]:
   return out
 
 
-def _unit_matrix(p: int, a: int, b: int) -> np.ndarray:
-  mat = zeros_matrix(p, p)
-  mat[a, b] = Fraction(1)
-  return mat
-
-
-def _so_coordinates(mat: np.ndarray) -> list[Fraction]:
-  p = mat.shape[0]
-  return [mat[a, b] for a in range(p) for b in range(a + 1, p)]
-
-
-def _gl_coordinates(mat: np.ndarray) -> list[Fraction]:
-  p = mat.shape[0]
-  return [mat[a, b] for a in range(p) for b in range(p)]
-
-
-def _matrix_algebra_constants(basis, coordinates, name=None) -> StructureConstants:
-  dim = len(basis)
+def _gl_table(p: int) -> dict:
+  """[E_ab, E_cd] = d_bc E_ad - d_da E_cb, with E_ab at index a*p + b."""
   brackets = {}
-  for i in range(dim):
-    for j in range(i + 1, dim):
-      comm = basis[i].dot(basis[j]) - basis[j].dot(basis[i])
-      coeffs = {e: v for e, v in enumerate(coordinates(comm)) if v != 0}
-      if coeffs:
-        brackets[(i, j)] = coeffs
-  return make_structure_constants(dim, brackets, name=name)
+  for u, v in combinations(range(p * p), 2):
+    (a, b), (c, d) = divmod(u, p), divmod(v, p)
+    coeffs = {a * p + d: 1} if b == c else {}
+    if d == a:
+      coeffs[c * p + b] = -1
+    if coeffs:
+      brackets[(u, v)] = coeffs
+  return brackets
 
 
-def bracket_coefficients(c: StructureConstants, a: int, b: int) -> dict[int, Fraction]:
-  """Coefficients of [e_a, e_b]; antisymmetry applied for a >= b.
-
-  The returned dict must not be mutated (the a < b case aliases storage).
-  """
-  if a == b:
-    return {}
-  if a < b:
-    return c.table.get((a, b), {})
-  flipped = c.table.get((b, a))
-  if not flipped:
-    return {}
-  return {e: -v for e, v in flipped.items()}
+def _so_table(p: int, m) -> dict:
+  """Table of [x, y]_m = x m y - y m x on so(p) for a symmetric p x p
+  matrix ``m``; the identity gives the commutator.  In the basis
+  B_xy = E_xy - E_yx (x < y, ascending), with B_yx = -B_xy and B_xx = 0,
+  [B_ab, B_cd]_m = m_bc B_ad - m_ac B_bd - m_bd B_ac + m_ad B_bc."""
+  pairs = list(combinations(range(p), 2))
+  index = {pair: k for k, pair in enumerate(pairs)}
+  brackets = {}
+  for (u, (a, b)), (v, (c, d)) in combinations(enumerate(pairs), 2):
+    coeffs = {}
+    for weight, x, y in ((m[b][c], a, d), (-m[a][c], b, d),
+                         (-m[b][d], a, c), (m[a][d], b, c)):
+      if weight and x != y:
+        key, weight = ((x, y), weight) if x < y else ((y, x), -weight)
+        coeffs[index[key]] = weight
+    if coeffs:
+      brackets[(u, v)] = coeffs
+  return brackets
 
 
 def basis_vector(dim: int, a: int) -> tuple[Fraction, ...]:
@@ -216,28 +198,51 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
   return out
 
 
-def validate_structure_constants(c: StructureConstants) -> JacobiReport:
-  """Scan the Jacobi identity over basis triples.
+def _rows(c: StructureConstants, scale: int) -> list[dict[int, dict[int, int]]]:
+  """rows[x][y] = coefficients of [e_x, e_y] times ``scale``, as integers,
+  for every x != y with a nonzero bracket (antisymmetry applied)."""
+  rows: list[dict[int, dict[int, int]]] = [{} for _ in range(c.dim)]
+  for (a, b), coeffs in c.table.items():
+    rows[a][b] = {e: v.numerator * (scale // v.denominator)
+                  for e, v in coeffs.items()}
+    rows[b][a] = {e: -iv for e, iv in rows[a][b].items()}
+  return rows
 
-  The Jacobiator of an antisymmetric bracket is alternating, so triples
-  a < b < c suffice; the first violation is the lexicographically smallest
-  (a, b, c) and, within it, the smallest output component f.
+
+def _jacobi_scan(dim: int, pairs, sign: int = 1) -> JacobiReport:
+  """The table Jacobi scan, bilinear in the two brackets of each pair.
+
+  The residual at a basis triple is ``sign`` times the sum over (p, q) in
+  ``pairs`` of the cyclic sum of [[x, y]_p, z]_q.  It must be alternating in
+  the triple (a Jacobiator, or a sum of them), so triples a < b < c suffice;
+  the first violation is the lexicographically smallest (a, b, c) and,
+  within it, the smallest output component f.  The scan runs on integer
+  copies of the tables, cleared by one common denominator.
   """
-  d = c.dim
-  for a in range(d):
-    for b in range(a + 1, d):
-      cab = c.table.get((a, b))
-      for cc in range(b + 1, d):
-        acc: dict[int, Fraction] = {}
-        for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
-          first = bracket_coefficients(c, x, y) if (x, y) != (a, b) else (cab or {})
-          for e, q in first.items():
-            for f, r in bracket_coefficients(c, e, z).items():
-              acc[f] = acc.get(f, Fraction(0)) + q * r
+  scale = lcm(*(v.denominator for pair in pairs for c in pair
+                for coeffs in c.table.values() for v in coeffs.values()))
+  algebras = {id(c): c for pair in pairs for c in pair}
+  rows = {key: _rows(c, scale) for key, c in algebras.items()}
+  tables = [(rows[id(p)], rows[id(q)]) for p, q in pairs]
+  for a in range(dim):
+    for b in range(a + 1, dim):
+      for cc in range(b + 1, dim):
+        acc: dict[int, int] = {}
+        for first, second in tables:
+          for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
+            for e, q in first[x].get(y, {}).items():
+              for f, r in second[e].get(z, {}).items():
+                acc[f] = acc.get(f, 0) + q * r
         for f in sorted(acc):
           if acc[f] != 0:
-            return JacobiReport(ok=False, violation=(a, b, cc, f), residual=acc[f])
+            return JacobiReport(ok=False, violation=(a, b, cc, f),
+                                residual=Fraction(sign * acc[f], scale**2))
   return JacobiReport(ok=True)
+
+
+def validate_structure_constants(c: StructureConstants) -> JacobiReport:
+  """Scan the Jacobi identity over basis triples (see ``_jacobi_scan``)."""
+  return _jacobi_scan(c.dim, [(c, c)])
 
 
 def center_basis(c: StructureConstants) -> list[tuple[Fraction, ...]]:
@@ -255,34 +260,18 @@ def center_basis(c: StructureConstants) -> list[tuple[Fraction, ...]]:
 
 
 def mixed_jacobi_check(first: StructureConstants,
-                       second: StructureConstants) -> MixedJacobiReport:
+                       second: StructureConstants) -> JacobiReport:
   """Check the mixed Jacobi identity coupling two brackets on one space.
 
   The residual at (X1, X2, X3) is the cyclic sum of
-  [X1, [X2, X3]_1]_2 + [X1, [X2, X3]_2]_1.  It vanishes identically iff the
+  [X1, [X2, X3]_1]_2 + [X1, [X2, X3]_2]_1, that is minus the cyclic sum of
+  [[X2, X3]_1, X1]_2 + [[X2, X3]_2, X1]_1.  It vanishes identically iff the
   sum of the two brackets satisfies Jacobi.  The expression is a difference
   of Jacobiators, hence alternating: basis triples i < j < k suffice.
   """
   if first.dim != second.dim:
     raise ValueError("brackets live on spaces of different dimension")
-  d = first.dim
-  ident = [basis_vector(d, i) for i in range(d)]
-  for i in range(d):
-    for j in range(i + 1, d):
-      for k in range(j + 1, d):
-        total = [Fraction(0)] * d
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-          inner1 = bracket_eval(first, ident[y], ident[z])
-          inner2 = bracket_eval(second, ident[y], ident[z])
-          t1 = bracket_eval(second, ident[x], inner1)
-          t2 = bracket_eval(first, ident[x], inner2)
-          for e in range(d):
-            total[e] += t1[e] + t2[e]
-        for f in range(d):
-          if total[f] != 0:
-            return MixedJacobiReport(ok=False, violation=(i, j, k, f),
-                                     residual=total[f])
-  return MixedJacobiReport(ok=True)
+  return _jacobi_scan(first.dim, [(first, second), (second, first)], sign=-1)
 
 
 def _combine_tables(first: StructureConstants, second: StructureConstants,
@@ -318,9 +307,7 @@ def compatibility_check(first: StructureConstants,
   if not r2.ok:
     raise ValueError(f"second bracket fails Jacobi at {r2.violation}")
   mixed = mixed_jacobi_check(first, second)
-  total = StructureConstants(first.dim, _combine_tables(
-      first, second, Fraction(1), Fraction(1)))
-  sum_jacobi = validate_structure_constants(total)
+  sum_jacobi = validate_structure_constants(sum_bracket_table(first, second))
   if mixed.ok != sum_jacobi.ok:
     raise InternalCheckError(
         "mixed-Jacobi and sum-Jacobi routes disagree: "

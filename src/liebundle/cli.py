@@ -45,7 +45,7 @@ def _load_json(path: str):
       return json.load(fh)
   except OSError as exc:
     raise ValueError(f"cannot read {path}: {exc}") from exc
-  except json.JSONDecodeError as exc:
+  except (json.JSONDecodeError, RecursionError) as exc:
     raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -55,19 +55,9 @@ def _as_int_rows(matrix) -> list[list[int]]:
   Scaling every entry by one positive factor changes neither rank nor
   nullspace.
   """
-  if isinstance(matrix, np.ndarray):
-    rows = [list(r) for r in matrix]
-  else:
-    rows = [list(r) for r in matrix]
-  fr = [[as_fraction(v) for v in row] for row in rows]
-  scale = 1
-  for row in fr:
-    for v in row:
-      scale = lcm(scale, v.denominator)
-  out = []
-  for row in fr:
-    out.append([int(v * scale) for v in row])
-  return out
+  fr = [[as_fraction(v) for v in row] for row in matrix]
+  scale = lcm(*(v.denominator for row in fr for v in row))
+  return [[v.numerator * (scale // v.denominator) for v in row] for row in fr]
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra_core import StructureConstants, make_structure_constants, so_matrix_basis
+from .algebra_core import (StructureConstants, _so_table,
+                           make_structure_constants)
 from .errors import InternalCheckError
 from .linalg import frac_matrix, mats_equal
 
@@ -153,21 +154,7 @@ def so_sym_bundle(p: int, a) -> StructureConstants:
     raise ValueError(f"parameter must be a {p} x {p} matrix")
   if not mats_equal(amat, amat.T):
     raise ValueError("bundle parameter must be symmetric")
-  basis = so_matrix_basis(p)
-  dim = len(basis)
-  pairs = [(r, s) for r in range(p) for s in range(r + 1, p)]
-  brackets = {}
-  for i in range(dim):
-    for j in range(i + 1, dim):
-      z = basis[i].dot(amat).dot(basis[j]) - basis[j].dot(amat).dot(basis[i])
-      coeffs = {}
-      for e, (r, s) in enumerate(pairs):
-        v = z[r, s]
-        if v != 0:
-          coeffs[e] = v
-      if coeffs:
-        brackets[(i, j)] = coeffs
-  return make_structure_constants(dim, brackets)
+  return make_structure_constants(p * (p - 1) // 2, _so_table(p, amat))
 
 
 # ---------------------------------------------------------------------------

@@ -153,18 +153,10 @@ def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
   return out
 
 
-def poisson_jacobi_check(t) -> JacobiReport:
-  """Jacobi for the polynomial bracket on coordinate functions.
-
-  Computes {{xi_a, xi_b}, xi_c} + cyclic for all a < b < c and compares the
-  verdict with validate_structure_constants on the same table (two routes;
-  disagreement raises InternalCheckError).  Accepts raw StructureConstants
-  so that invalid inputs can be *reported* rather than rejected upfront.
-  """
-  c = _constants_of(t)
+def _polynomial_jacobi(c: StructureConstants) -> JacobiReport:
+  """{{xi_a, xi_b}, xi_c} + cyclic for all a < b < c, first nonzero one."""
   d = c.dim
   xi = [coordinate_poly(d, a) for a in range(d)]
-  verdict: JacobiReport | None = None
   for a in range(d):
     for b in range(a + 1, d):
       for cc in range(b + 1, d):
@@ -176,20 +168,23 @@ def poisson_jacobi_check(t) -> JacobiReport:
           # the residual polynomial is linear; the monomial with the
           # lex-largest exponent tuple carries the smallest coordinate index
           exps, value = max(total.terms.items())
-          f = exps.index(1)
-          verdict = JacobiReport(ok=False, violation=(a, b, cc, f),
-                                 residual=value)
-          break
-      # a failing report is falsy, so test for presence explicitly
-      if verdict is not None:
-        break
-    if verdict is not None:
-      break
-  if verdict is None:
-    verdict = JacobiReport(ok=True)
+          return JacobiReport(ok=False, violation=(a, b, cc, exps.index(1)),
+                              residual=value)
+  return JacobiReport(ok=True)
+
+
+def poisson_jacobi_check(t) -> JacobiReport:
+  """Jacobi for the polynomial bracket on coordinate functions.
+
+  Computes {{xi_a, xi_b}, xi_c} + cyclic for all a < b < c and compares the
+  verdict with validate_structure_constants on the same table (two routes;
+  disagreement raises InternalCheckError).  Accepts raw StructureConstants
+  so that invalid inputs can be *reported* rather than rejected upfront.
+  """
+  c = _constants_of(t)
+  verdict = _polynomial_jacobi(c)
   table_report = validate_structure_constants(c)
-  if (verdict.ok, verdict.violation, verdict.residual) != (
-      table_report.ok, table_report.violation, table_report.residual):
+  if verdict != table_report:
     raise InternalCheckError(
         f"polynomial Jacobi ({verdict!r}) disagrees with the table scan "
         f"({table_report!r})")

@@ -22,9 +22,9 @@ from math import lcm
 
 import numpy as np
 
-from .algebra_core import (JacobiReport, StructureConstants,
-                           bracket_coefficients, bracket_eval,
-                           make_structure_constants)
+from .algebra_core import (JacobiReport, StructureConstants, bracket_eval,
+                           make_structure_constants,
+                           validate_structure_constants)
 from .errors import InternalCheckError, SizeCapError
 from .linalg import identity_matrix, is_nilpotent, mats_equal, zeros_matrix
 from .rationals import as_fraction, format_rational
@@ -62,9 +62,13 @@ class WValidationReport:
     return self.ok
 
 
-def make_wtensor(n: int, entries) -> WTensor:
+def _check_n(n) -> None:
   if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
     raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
+
+
+def make_wtensor(n: int, entries) -> WTensor:
+  _check_n(n)
   table: Entries = {}
   for key, value in entries.items():
     i, j, s = key
@@ -83,6 +87,7 @@ def make_wtensor(n: int, entries) -> WTensor:
 
 def direct_sum_w(n: int) -> WTensor:
   """Componentwise bracket: W^{ii}_i = 1."""
+  _check_n(n)
   return make_wtensor(n, {(i, i, i): 1 for i in range(n)})
 
 
@@ -90,6 +95,7 @@ def circulant_w(alpha) -> WTensor:
   """W^{sk}_i = alpha_{(s+k-i) mod n}; n = len(alpha)."""
   alpha = tuple(as_fraction(v) for v in alpha)
   n = len(alpha)
+  _check_n(n)
   entries = {}
   for s in range(n):
     for k in range(n):
@@ -102,6 +108,7 @@ def circulant_w(alpha) -> WTensor:
 
 def leibnitz_w(n: int) -> WTensor:
   """Index-additive bracket without wrap-around: W^{ij}_{i+j} = 1, i+j < n."""
+  _check_n(n)
   entries = {}
   for i in range(n):
     for j in range(n - i):
@@ -114,6 +121,7 @@ def leibnitz_deform(n: int, lam) -> WTensor:
 
   lam = 0 gives leibnitz_w(n); lam = 1 gives circulant_w(e_0) (entrywise).
   """
+  _check_n(n)
   lam = as_fraction(lam)
   entries = {}
   for i in range(n):
@@ -170,42 +178,28 @@ def alpha_slice_expand(alpha, s: int) -> np.ndarray:
 
 
 def _symmetry_violation(w: WTensor):
-  """Lexicographically first (i, j, s) with W^{ij}_s != W^{ji}_s, or None."""
-  best = None
-  for (i, j, s), v in w.entries.items():
-    if i == j:
-      continue
-    mirror = w.entries.get((j, i, s), Fraction(0))
-    if v != mirror:
-      cand = min((i, j, s), (j, i, s))
-      if best is None or cand < best:
-        best = cand
-  if best is None:
+  """Lexicographically first (i, j, s) with W^{ij}_s != W^{ji}_s and that
+  difference, or None."""
+  entries = w.entries
+  bad = [min((i, j, s), (j, i, s)) for (i, j, s), v in entries.items()
+         if v != entries.get((j, i, s), 0)]
+  if not bad:
     return None
-  i, j, s = best
-  residual = w.entries.get((i, j, s), Fraction(0)) - w.entries.get(
-      (j, i, s), Fraction(0))
-  return best, residual
+  i, j, s = min(bad)
+  return (i, j, s), entries.get((i, j, s), 0) - entries.get((j, i, s), 0)
 
 
-def _cleared_slices(w: WTensor) -> tuple[list[np.ndarray], int]:
-  """Integer slice matrices (all entries scaled by one common factor)."""
-  scale = 1
-  for v in w.entries.values():
-    scale = lcm(scale, v.denominator)
+def _cleared(values: dict, shape: tuple) -> tuple[np.ndarray, int, int]:
+  """Dense object array of the Fraction ``values`` (keyed by index tuples)
+  times the lcm of their denominators; returns it, that scale and the
+  largest absolute entry."""
+  scale = lcm(*(v.denominator for v in values.values()))
+  out = np.zeros(shape, dtype=object)
   max_abs = 0
-  ints: dict[tuple[int, int, int], int] = {}
-  for key, v in w.entries.items():
-    iv = int(v * scale)
-    ints[key] = iv
-    max_abs = max(max_abs, abs(iv))
-  n = w.n
-  # int64 is safe when a commutator entry n*M*M cannot overflow
-  dtype = np.int64 if n * max_abs * max_abs < 2**62 else object
-  slices = [np.zeros((n, n), dtype=dtype) for _ in range(n)]
-  for (i, j, s), iv in ints.items():
-    slices[i][s, j] = iv
-  return slices, scale
+  for key, v in values.items():
+    out[key] = v.numerator * (scale // v.denominator)
+    max_abs = max(max_abs, abs(out[key]))
+  return out, scale, max_abs
 
 
 def _validate_by_slices(w: WTensor) -> WValidationReport:
@@ -214,8 +208,11 @@ def _validate_by_slices(w: WTensor) -> WValidationReport:
     indices, residual = sym
     return WValidationReport(ok=False, failure="symmetry", indices=indices,
                              residual=residual)
-  slices, scale = _cleared_slices(w)
   n = w.n
+  dense, scale, max_abs = _cleared(w.entries, (n, n, n))
+  # integer slices (W^(k))_i^j; int64 when a commutator entry n*M*M fits
+  slices = dense.transpose(0, 2, 1).astype(
+      np.int64 if n * max_abs**2 < 2**62 else object)
   candidates = []
   for s in range(n):
     for q in range(s + 1, n):
@@ -382,64 +379,102 @@ def induced_structure_constants(w: WTensor, c: StructureConstants,
   nd = n * d
   if nd > cap:
     raise SizeCapError(f"extension dimension {nd} exceeds cap {cap}")
-  pairs = w._pairs
-  brackets = {}
-  for u in range(nd):
-    i, a = divmod(u, d)
-    for v in range(u + 1, nd):
-      j, b = divmod(v, d)
-      col = pairs.get((i, j))
-      if not col:
-        continue
-      cc = bracket_coefficients(c, a, b)
-      if not cc:
-        continue
-      inner: dict[int, Fraction] = {}
-      for s, wv in col:
-        for e, q in cc.items():
-          f = s * d + e
-          t = inner.get(f, Fraction(0)) + wv * q
-          if t:
-            inner[f] = t
-          elif f in inner:
-            del inner[f]
-      if inner:
-        brackets[(u, v)] = inner
+  brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+  for (i, j, s), wv in w.entries.items():
+    for (a, b), coeffs in c.table.items():
+      for x, y, sign in ((a, b, wv), (b, a, -wv)):  # c_ba = -c_ab
+        if i * d + x < j * d + y:
+          inner = brackets.setdefault((i * d + x, j * d + y), {})
+          for e, q in coeffs.items():
+            inner[s * d + e] = inner.get(s * d + e, 0) + sign * q
   return make_structure_constants(nd, brackets)
+
+
+def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+  """sum_e x[..., e] y[e, ...], over the e where neither side is all zero."""
+  k = y.shape[0]
+  rows, cols = x.size // k, y.size // k
+  live = np.flatnonzero((x != 0).reshape(rows, k).any(axis=0)
+                        & (y != 0).reshape(k, cols).any(axis=1))
+  out = x[..., live].reshape(rows, -1) @ y[live].reshape(-1, cols)
+  return out.reshape(x.shape[:-1] + y.shape[1:])
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+  """x[j, k, t] * y[b, c, f] laid out as [(j, b), (k, c), (t, f)]."""
+  n, d = x.shape[0], y.shape[0]
+  nd = n * d
+  return (x[:, None, :, None, :, None] * y[None, :, None, :, None, :]).reshape(
+      nd, nd, nd)
+
+
+def _certify_factorised(w: WTensor, c: StructureConstants) -> JacobiReport:
+  """Jacobi residual of the extension bracket from its two factors.
+
+  [[e_ia, e_jb], e_kc] = A[i, j, k, :] (x) D[a, b, c, :] with
+  A[i, j, k, t] = sum_s W^{ij}_s W^{sk}_t and D[a, b, c, :] = [[e_a, e_b], e_c],
+  so the residual [[u, v], t] + [[v, t], u] - [[u, t], v] at u = (i, a),
+  v = (j, b), t = (k, c) is A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb).
+  It is evaluated on denominator-cleared arrays for one leading index u at a
+  time, an (nd)^3 block.
+  """
+  n, d = w.n, c.dim
+  nd = n * d
+  structure = {}
+  for (a, b), coeffs in c.table.items():
+    for e, v in coeffs.items():
+      structure[(a, b, e)] = v
+      structure[(b, a, e)] = -v
+  wd, w_scale, w_max = _cleared(w.entries, (n, n, n))
+  cd, c_scale, c_max = _cleared(structure, (d, d, d))
+  # an entry of A is at most n*Mw^2, one of D at most d*Mc^2; three terms
+  dtype = np.int64 if 3 * n * d * (w_max * c_max)**2 < 2**62 else object
+  wd, cd = wd.astype(dtype), cd.astype(dtype)
+  later = np.triu(np.ones((nd, nd), dtype=bool), 1)  # later[v, t]: t > v
+  for i in range(n):
+    # A[i, j, k, t], A[j, k, i, t] and A[i, k, j, t], each at [j, k, t]
+    a1 = _contract(wd[i], wd)
+    a2 = _contract(wd, wd[:, i])
+    a3 = a1.transpose(1, 0, 2)
+    for a in range(d):
+      u = i * d + a
+      # D[a, b, c, f], D[b, c, a, f] and D[a, c, b, f], each at [b, c, f]
+      d1 = _contract(cd[a], cd)
+      d2 = _contract(cd, cd[:, a])
+      d3 = d1.transpose(1, 0, 2)
+      r = _outer(a1, d1) + _outer(a2, d2) - _outer(a3, d3)
+      hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
+      if len(hits):
+        v, t, f = (int(x) for x in hits[0])
+        v += u + 1
+        residual = Fraction(int(r[v, t, f]), (w_scale * c_scale)**2)
+        return JacobiReport(ok=False, violation=(u, v, t, f), residual=residual)
+  return JacobiReport(ok=True)
 
 
 def jacobi_certify(w: WTensor, c: StructureConstants,
                    cap: int = DEFAULT_CAP) -> JacobiReport:
   """Certify Jacobi for the extension bracket on G^n over basis triples.
 
-  Evaluates [[x, y], z] + [[y, z], x] + [[z, x], y] through
-  extension_bracket directly (never through induced_structure_constants, so
-  the two stay independently testable).  Violations carry flat indices
-  (u, v, t, f) with u < v < t, f = s*d + e.
+  The residual [[x, y], z] + [[y, z], x] - [[x, z], y] of basis triples is
+  computed from the factorised formula of ``_certify_factorised``.
+  Violations carry flat indices (u, v, t, f) with u < v < t, f = s*d + e,
+  the lexicographically first.  When W is symmetric in its upper indices the
+  extension bracket is the one of ``induced_structure_constants``, and the
+  report is cross-checked against validating that table: any difference
+  raises InternalCheckError.  An asymmetric W has no such table (the induced
+  one stores u < v only), so its report comes from the factorised route.
   """
-  n, d = w.n, c.dim
-  nd = n * d
+  nd = w.n * c.dim
   if nd > cap:
     raise SizeCapError(f"extension dimension {nd} exceeds cap {cap}")
-  basis = [gn_basis(n, d, *divmod(u, d)) for u in range(nd)]
-  cache: dict[tuple[int, int], tuple] = {}
-  for u in range(nd):
-    for v in range(u + 1, nd):
-      cache[(u, v)] = extension_bracket(w, c, basis[u], basis[v])
-  for u in range(nd):
-    for v in range(u + 1, nd):
-      zuv = cache[(u, v)]
-      for t in range(v + 1, nd):
-        term1 = extension_bracket(w, c, zuv, basis[t])
-        term2 = extension_bracket(w, c, cache[(v, t)], basis[u])
-        term3 = extension_bracket(w, c, cache[(u, t)], basis[v])
-        for s in range(n):
-          for e in range(d):
-            r = term1[s][e] + term2[s][e] - term3[s][e]
-            if r != 0:
-              return JacobiReport(ok=False, violation=(u, v, t, s * d + e),
-                                  residual=r)
-  return JacobiReport(ok=True)
+  report = _certify_factorised(w, c)
+  if _symmetry_violation(w) is None:
+    table = validate_structure_constants(induced_structure_constants(w, c, cap))
+    if report != table:
+      raise InternalCheckError(
+          f"certify routes disagree: factorised={report!r} table={table!r}")
+  return report
 
 
 # ---------------------------------------------------------------------------

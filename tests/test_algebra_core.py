@@ -12,7 +12,8 @@ from liebundle import (InternalCheckError, ad_matrix, basis_vector,
                        bracket_eval, builtin_algebra, center_basis,
                        coboundary_of_one_cochain, compatibility_check,
                        make_structure_constants, mixed_jacobi_check,
-                       pencil_bracket, structure_constants_from_json,
+                       pencil_bracket, so_sym_bundle,
+                       structure_constants_from_json,
                        structure_constants_to_json, sum_bracket_table,
                        validate_structure_constants)
 from liebundle.algebra_core import so_matrix_basis
@@ -62,6 +63,53 @@ def test_builtin_matrix_families():
     builtin_algebra("so(1)")
   with pytest.raises(ValueError):
     builtin_algebra("abelian(0)")
+
+
+def _commutator_table(basis, coordinates, m):
+  """{(u, v): {e: c}} of B_u m B_v - B_v m B_u for u < v, read off at the
+  matrix positions ``coordinates``."""
+  table = {}
+  for u in range(len(basis)):
+    for v in range(u + 1, len(basis)):
+      comm = basis[u] @ m @ basis[v] - basis[v] @ m @ basis[u]
+      coeffs = {e: F(int(comm[pos])) for e, pos in enumerate(coordinates)
+                if comm[pos]}
+      if coeffs:
+        table[(u, v)] = coeffs
+  return table
+
+
+def test_closed_form_tables_match_matrix_commutators():
+  rng = random.Random(12)
+  for p in range(2, 7):
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    one = np.identity(p, dtype=np.int64)
+    gl_basis = []
+    for a, b in pairs:
+      mat = np.zeros((p, p), dtype=np.int64)
+      mat[a, b] = 1
+      gl_basis.append(mat)
+    gl = builtin_algebra(f"gl({p})")
+    assert gl.dim == p * p
+    assert gl.table == _commutator_table(gl_basis, pairs, one)
+    so_basis = [m.astype(np.int64) for m in so_matrix_basis(p)]
+    so_pairs = [(a, b) for a, b in pairs if a < b]
+    so = builtin_algebra(f"so({p})")
+    assert so.dim == p * (p - 1) // 2
+    assert so.table == _commutator_table(so_basis, so_pairs, one)
+    # the so(p) bundle [x, y]_m = x m y - y m x shares the closed form
+    m = np.array([[rng.randint(-3, 3) for _ in range(p)] for _ in range(p)])
+    m = m + m.T
+    assert so_sym_bundle(p, m.tolist()).table == _commutator_table(
+        so_basis, so_pairs, m)
+
+
+def test_matrix_families_over_the_dimension_cap():
+  assert builtin_algebra("gl(8)").dim == 64
+  assert builtin_algebra("so(11)").dim == 55
+  for name in ("gl(9)", "so(12)", "gl(40)", "so(100000)"):
+    with pytest.raises(ValueError):
+      builtin_algebra(name)
 
 
 def test_builtins_satisfy_jacobi():
@@ -186,7 +234,7 @@ def test_compatibility_report_matches_sum_validation():
 def test_compatibility_preconditions():
   h3 = builtin_algebra("heisenberg3")
   with pytest.raises(ValueError):
-    compatibility_check(h3, builtin_algebra("abelian2"))  # dim mismatch
+    compatibility_check(h3, builtin_algebra("abelian(2)"))  # dim mismatch
   with pytest.raises(ValueError):
     compatibility_check(h3, make_structure_constants(3, BROKEN))
   with pytest.raises(ValueError):

@@ -3,9 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liebundle
 from liebundle.cli import main
 
 
@@ -377,6 +382,26 @@ def test_malformed_and_missing_files(tmp_path):
   bad.write_text("{not json")
   assert run_cli("validate-w", "--input", str(bad))[0] == 2
   assert run_cli("validate-w", "--input", str(tmp_path / "nope.json"))[0] == 2
+
+
+def test_deeply_nested_json_is_bad_input(tmp_path):
+  deep = tmp_path / "deep.json"
+  deep.write_text("[" * 100000 + "]" * 100000)
+  assert run_cli("validate-w", "--input", str(deep))[0] == 2
+
+
+def run_cli_bounded(*argv, seconds=5):
+  """Exit code of a fresh CLI process that must finish within ``seconds``."""
+  src = str(Path(liebundle.__file__).resolve().parents[1])
+  env = {**os.environ, "PYTHONPATH": src}
+  proc = subprocess.run([sys.executable, "-m", "liebundle.cli", *argv],
+                        capture_output=True, timeout=seconds, env=env)
+  return proc.returncode
+
+
+def test_oversized_requests_are_rejected_before_work():
+  assert run_cli_bounded("make-w", "leibnitz", "--n", "100000") == 2
+  assert run_cli_bounded("center", "--algebra", "gl(40)") == 2
 
 
 def test_unknown_algebra():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebundle import (InternalCheckError, SizeCapError, WTensor,
+from liebundle import (InternalCheckError, JacobiReport, SizeCapError, WTensor,
                        alpha_slice_expand, builtin_algebra, circulant_w,
                        compatibility_check, direct_sum_w, extension_bracket,
                        filtration_support_check, gn_basis,
@@ -18,6 +18,7 @@ from liebundle import (InternalCheckError, SizeCapError, WTensor,
                        truncate_to_solvable, validate_structure_constants,
                        wtensor_from_json, wtensor_to_json, wtensor_validate)
 from liebundle.linalg import identity_matrix, mats_equal
+from liebundle.wtensor import MAX_N
 
 F = Fraction
 
@@ -318,6 +319,105 @@ def test_invalid_tensor_can_escape_detection_on_degenerate_algebras():
   assert validate_structure_constants(
       induced_structure_constants(wit, h3)).ok
   assert not wtensor_validate(wit).ok  # the tensor itself is still invalid
+
+
+def certify_oracle(w, c):
+  """Jacobi residual of the extension bracket, one extension_bracket call
+  per term: [[u, v], t] + [[v, t], u] - [[u, t], v] over u < v < t."""
+  n, d = w.n, c.dim
+  nd = n * d
+  basis = [gn_basis(n, d, *divmod(u, d)) for u in range(nd)]
+  pair = {(u, v): extension_bracket(w, c, basis[u], basis[v])
+          for u in range(nd) for v in range(u + 1, nd)}
+  for u in range(nd):
+    for v in range(u + 1, nd):
+      for t in range(v + 1, nd):
+        term1 = extension_bracket(w, c, pair[(u, v)], basis[t])
+        term2 = extension_bracket(w, c, pair[(v, t)], basis[u])
+        term3 = extension_bracket(w, c, pair[(u, t)], basis[v])
+        for s in range(n):
+          for e in range(d):
+            r = term1[s][e] + term2[s][e] - term3[s][e]
+            if r != 0:
+              return JacobiReport(ok=False, violation=(u, v, t, s * d + e),
+                                  residual=r)
+  return JacobiReport(ok=True)
+
+
+def random_certify_tensors(rng, n):
+  """Symmetric and one-sided (asymmetric) tensors, valid and invalid, with
+  fractional entries."""
+  valid = [circulant_w(rand_alpha(rng, n)),
+           leibnitz_deform(n, rng.choice(LAMBDA_SET))]
+  entries = {}
+  for _ in range(rng.randint(1, 2 * n)):
+    i, j, s = (rng.randrange(n) for _ in range(3))
+    entries[(i, j, s)] = entries[(j, i, s)] = F(rng.randint(-4, 4),
+                                                rng.randint(1, 3))
+  out = valid + [make_wtensor(n, entries)]
+  for w in (valid[0], make_wtensor(n, entries)):
+    off = [key for key in w.entries if key[0] != key[1]]
+    if off:  # drop one side of a mirror pair
+      one_sided = dict(w.entries)
+      del one_sided[rng.choice(off)]
+      out.append(make_wtensor(n, one_sided))
+  return out
+
+
+def test_certify_matches_extension_bracket_oracle():
+  rng = random.Random(2024)
+  algebras = [builtin_algebra(x) for x in ("sl2", "so3", "heisenberg3",
+                                           "gl(2)")]
+  seen = set()
+  for g in algebras:
+    for n in range(1, 12 // g.dim + 1):
+      for w in random_certify_tensors(rng, n):
+        rep = jacobi_certify(w, g)
+        assert rep == certify_oracle(w, g), (w, g.name)
+        symmetric = all(w.entries.get((j, i, s)) == v
+                        for (i, j, s), v in w.entries.items())
+        seen.add((symmetric, rep.ok))
+  assert seen == {(True, True), (True, False), (False, True), (False, False)}
+  # the first violation of most tensors does not tell A(ikj) from A(ijk);
+  # these tensors need both
+  for entries in ({(0, 2, 1): 1, (2, 0, 1): 1, (1, 1, 0): 1},
+                  {(0, 1, 2): 1, (1, 0, 2): 1, (2, 2, 2): 1}):
+    w = make_wtensor(3, entries)
+    for g in algebras[:2]:
+      assert jacobi_certify(w, g) == certify_oracle(w, g), (w, g.name)
+
+
+def test_certify_entries_beyond_int64():
+  sl2 = builtin_algebra("sl2")
+  big = F(2**63 + 1)
+  witness = make_wtensor(2, {(0, 1, 0): big, (1, 0, 0): big})  # scaled
+  for w in (make_wtensor(2, {(0, 0, 0): big, (1, 1, 1): 1}),  # valid
+            witness,
+            make_wtensor(2, {(0, 1, 1): big, (0, 0, 0): 1})):  # one-sided
+    assert jacobi_certify(w, sl2) == certify_oracle(w, sl2)
+  rep = jacobi_certify(witness, sl2)
+  assert rep.violation == (0, 3, 4, 1) and rep.residual == 4 * big**2
+
+
+def test_certify_cross_checks_the_table_for_symmetric_w(monkeypatch):
+  sl2 = builtin_algebra("sl2")
+  wrong = JacobiReport(ok=False, violation=(0, 1, 2, 0), residual=F(1))
+  monkeypatch.setattr("liebundle.wtensor.validate_structure_constants",
+                      lambda c: wrong)
+  with pytest.raises(InternalCheckError):
+    jacobi_certify(direct_sum_w(2), sl2)
+  # an asymmetric W has no table route, so the wrong table is never asked
+  one_sided = make_wtensor(2, {(0, 1, 1): 1, (0, 0, 0): 1})
+  assert jacobi_certify(one_sided, sl2) == certify_oracle(one_sided, sl2)
+
+
+def test_builders_reject_n_before_building():
+  for n in (0, MAX_N + 1, 100000):
+    for build in (direct_sum_w, leibnitz_w,
+                  lambda n: leibnitz_deform(n, 1),
+                  lambda n: circulant_w((1,) * n)):
+      with pytest.raises(ValueError):
+        build(n)
 
 
 def test_certify_cap():
