@@ -28,12 +28,12 @@ from .poisson import (PoissonTensor, PolyFunction, casimir_linear_basis,
                       poly_add, poly_diff, poly_from_json, poly_mul,
                       poly_scale, poly_to_json, poly_to_text)
 from .spectral import (CirculantClass, MuSpectrum, circulant_rank_exact,
-                       classify_circulant, commuting_family_check, dft_matrix,
-                       dft_inverse, diagonal_pattern_deviation, mu_spectrum,
+                       classify_circulant, dft_matrix, dft_inverse,
+                       diagonal_pattern_deviation, mu_spectrum,
                        spectrum_report_json, transform_w)
-from .wtensor import (DEFAULT_CAP, WTensor, WValidationReport,
-                      alpha_slice_expand, circulant_w, direct_sum_w,
-                      extension_bracket, filtration_support_check, gn_basis,
+from .wtensor import (DEFAULT_CAP, WTensor, WValidationReport, circulant_w,
+                      direct_sum_w, extension_bracket,
+                      filtration_support_check, gn_basis,
                       induced_structure_constants, invalid_witness_w,
                       jacobi_certify, leibnitz_deform, leibnitz_w,
                       make_wtensor, max_abelian_filtration_ideal,

@@ -1,9 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 = pass / produced output, 1 = a checked property failed,
-2 = unusable input (malformed file, bad arguments, size cap).  All output is
+Each report subcommand builds one ordered list of fields, which ``_render``
+prints as one JSON line or as text lines; ``make-w`` and ``poisson-bracket
+--format json`` write one-item-per-line JSON documents.  All output is
 canonical: entries sorted, rationals as exact "p/q" strings; floats appear
 only in spectrum reports.
+
+Exit codes: 0 = pass / produced output, 1 = a checked property failed,
+2 = unusable input (malformed file, bad arguments, size cap), 3 = tool fault
+(two computation routes disagreed, or an unexpected error).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .wtensor import (DEFAULT_CAP, circulant_w, direct_sum_w,
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_FAULT = 3
 
 
 def _parse_alpha(text: str):
@@ -77,14 +83,6 @@ def _emit(text: str, out_path: str | None) -> None:
       raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _print_json(doc: dict) -> None:
-  sys.stdout.write(json.dumps(doc, separators=(", ", ": ")) + "\n")
-
-
-def _print_lines(lines: list[str]) -> None:
-  sys.stdout.write("\n".join(lines) + "\n")
-
-
 def _resolve_algebra(args):
   if getattr(args, "algebra", None):
     return builtin_algebra(args.algebra)
@@ -97,74 +95,115 @@ def _w_document(w) -> str:
 
 
 # ---------------------------------------------------------------------------
+# reports: a field is (JSON key, JSON value, text lines); a key of None marks
+# text-only lines, an empty line list a JSON-only value
+
+
+def _field(key: str, value, text=None, label: str | None = None):
+  """JSON ``key: value``; one text line ``label: text`` (default key, value)."""
+  return key, value, [f"{label or key}: {value if text is None else text}"]
+
+
+def _verdict(ok: bool, words=("pass", "fail"), label: str = "result"):
+  """The ``result`` word, upper-cased in text."""
+  word = words[0] if ok else words[1]
+  return _field("result", word, word.upper(), label)
+
+
+def _witness(key: str, indices, residual) -> list:
+  """Failure indices (space-joined in text) and their exact residual."""
+  return [_field(key, list(indices), " ".join(str(i) for i in indices)),
+          _field("residual", format_rational(residual))]
+
+
+def _jacobi_side(key: str, report):
+  """A side of ``compat``: nested in JSON, flattened as ``key-...`` in text."""
+  fields = [_verdict(report.ok, label="jacobi")]
+  if not report.ok:
+    fields += _witness("violation", report.violation, report.residual)
+  return (key, {k: v for k, v, _ in fields},
+          [f"{key}-{line}" for _, _, lines in fields for line in lines])
+
+
+def _center(center):
+  """Center basis: rows in JSON; ``center-dim`` and ``z[k]`` lines in text."""
+  rows = [[format_rational(v) for v in vec] for vec in center]
+  return "center", rows, [f"center-dim: {len(rows)}"] + [
+      f"z[{k}]: " + " ".join(row) for k, row in enumerate(rows)]
+
+
+def _render(fields: list, fmt: str) -> None:
+  """Print a report as one JSON line or as its text lines."""
+  if fmt == "json":
+    text = json.dumps({key: value for key, value, _ in fields
+                       if key is not None}, separators=(", ", ": "))
+  else:
+    text = "\n".join(line for _, _, lines in fields for line in lines)
+  sys.stdout.write(text + "\n")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
+
+_N = ("--n", {"type": int, "required": True})
+
+# family -> (builder from the parsed arguments, subparser keywords, options)
+_FAMILIES = {
+    "direct-sum": (lambda a: direct_sum_w(a.n), {}, [_N]),
+    "leibnitz": (lambda a: leibnitz_w(a.n), {}, [_N]),
+    "circulant": (lambda a: circulant_w(_parse_alpha(a.alpha)), {}, [
+        ("--alpha", {"required": True,
+                     "help": "comma-separated rationals, e.g. 1,0,1/2"})]),
+    "leibnitz-deform": (
+        lambda a: leibnitz_deform(a.n, parse_rational(a.lam)), {}, [
+            _N, ("--lambda", {"dest": "lam", "required": True,
+                              "help": "deformation parameter, a rational"})]),
+    "truncate": (
+        lambda a: truncate_to_solvable(wtensor_from_json(_load_json(a.input))),
+        {}, [("--input", {"required": True,
+                          "help": "W-tensor file to truncate"})]),
+    "witness": (lambda a: invalid_witness_w(),
+                {"help": "stored symmetric-but-invalid witness"}, []),
+}
 
 
 def cmd_make_w(args) -> int:
-  if args.family == "direct-sum":
-    w = direct_sum_w(args.n)
-  elif args.family == "circulant":
-    w = circulant_w(_parse_alpha(args.alpha))
-  elif args.family == "leibnitz":
-    w = leibnitz_w(args.n)
-  elif args.family == "leibnitz-deform":
-    w = leibnitz_deform(args.n, parse_rational(args.lam))
-  elif args.family == "truncate":
-    w = truncate_to_solvable(wtensor_from_json(_load_json(args.input)))
-  else:
-    w = invalid_witness_w()
-  _emit(_w_document(w), args.out)
+  build = _FAMILIES[args.family][0]
+  _emit(_w_document(build(args)), args.out)
   return EXIT_PASS
 
 
 def cmd_validate_w(args) -> int:
   w = wtensor_from_json(_load_json(args.input))
   report = wtensor_validate(w, cross_check=args.cross_check)
-  if args.format == "json":
-    doc: dict = {"n": w.n, "entries": len(w.entries),
-                 "result": "pass" if report.ok else "fail"}
-    if not report.ok:
-      doc["failure"] = report.failure
-      doc["indices"] = list(report.indices)
-      doc["residual"] = format_rational(report.residual)
-    _print_json(doc)
-  else:
-    lines = [f"n: {w.n}", f"entries: {len(w.entries)}",
-             f"result: {'PASS' if report.ok else 'FAIL'}"]
-    if not report.ok:
-      lines.append(f"failure: {report.failure}")
-      lines.append("indices: " + " ".join(str(i) for i in report.indices))
-      lines.append(f"residual: {format_rational(report.residual)}")
-    _print_lines(lines)
+  fields = [_field("n", w.n), _field("entries", len(w.entries)),
+            _verdict(report.ok)]
+  if not report.ok:
+    fields += [_field("failure", report.failure),
+               *_witness("indices", report.indices, report.residual)]
+  _render(fields, args.format)
   return EXIT_PASS if report.ok else EXIT_FAIL
 
 
 def cmd_classify(args) -> int:
+  """``classify`` and ``spectrum``: one JSON report, two text forms."""
   cls = classify_circulant(_parse_alpha(args.alpha), tol=args.tol)
+  spectrum = cls.spectrum
   if args.format == "json":
-    _print_json(spectrum_report_json(cls))
-  else:
-    _print_lines([
-        f"n: {cls.n}",
-        f"zero-count: {cls.spectrum.zero_count}",
-        f"m-nonabelian: {cls.m_nonabelian}",
-        f"n-abelian: {cls.n_abelian}",
-    ])
-  return EXIT_PASS
-
-
-def cmd_spectrum(args) -> int:
-  cls = classify_circulant(_parse_alpha(args.alpha), tol=args.tol)
-  if args.format == "json":
-    _print_json(spectrum_report_json(cls))
-  else:
-    lines = [f"n: {cls.n}", f"{'i':>4}  {'re':>15}  {'im':>15}  {'zero':>4}"]
-    for i, v in enumerate(cls.spectrum.values):
-      zero = "yes" if cls.spectrum.zero_flags[i] else "no"
+    _render([(key, value, []) for key, value in
+             spectrum_report_json(cls).items()], args.format)
+    return EXIT_PASS
+  lines = [f"n: {cls.n}"]
+  if args.command == "spectrum":
+    lines.append(f"{'i':>4}  {'re':>15}  {'im':>15}  {'zero':>4}")
+    for i, v in enumerate(spectrum.values):
+      zero = "yes" if spectrum.zero_flags[i] else "no"
       lines.append(f"{i:>4}  {v.real:>15.6e}  {v.imag:>15.6e}  {zero:>4}")
-    lines.append(f"zero-count: {cls.spectrum.zero_count}")
-    lines.append(f"m-nonabelian: {cls.m_nonabelian}")
-    _print_lines(lines)
+  lines += [f"zero-count: {spectrum.zero_count}",
+            f"m-nonabelian: {cls.m_nonabelian}"]
+  if args.command == "classify":
+    lines.append(f"n-abelian: {cls.n_abelian}")
+  _render([(None, None, lines)], args.format)
   return EXIT_PASS
 
 
@@ -172,49 +211,27 @@ def cmd_certify(args) -> int:
   w = wtensor_from_json(_load_json(args.input))
   algebra = builtin_algebra(args.algebra)
   report = jacobi_certify(w, algebra, cap=args.cap)
-  dim = w.n * algebra.dim
-  doc: dict = {"n": w.n, "algebra": args.algebra, "dim": dim,
-               "result": "pass" if report.ok else "fail"}
-  lines = [f"n: {w.n}", f"algebra: {args.algebra}", f"dim: {dim}",
-           f"result: {'PASS' if report.ok else 'FAIL'}"]
+  fields = [_field("n", w.n), _field("algebra", args.algebra),
+            _field("dim", w.n * algebra.dim), _verdict(report.ok)]
   if not report.ok:
-    doc["violation"] = list(report.violation)
-    doc["residual"] = format_rational(report.residual)
-    lines.append("violation: " + " ".join(str(i) for i in report.violation))
-    lines.append(f"residual: {format_rational(report.residual)}")
+    fields += _witness("violation", report.violation, report.residual)
   if args.check_center:
     induced = induced_structure_constants(w, algebra, cap=args.cap)
-    center = center_basis(induced)
-    doc["center"] = [[format_rational(v) for v in vec] for vec in center]
-    lines.append(f"center-dim: {len(center)}")
-    for k, vec in enumerate(center):
-      lines.append(f"z[{k}]: " + " ".join(format_rational(v) for v in vec))
+    fields.append(_center(center_basis(induced)))
   if args.check_filtration:
     support = filtration_support_check(w)
-    ideal = max_abelian_filtration_ideal(w)
-    doc["filtration_support"] = support
-    doc["max_abelian_ideal"] = ideal
-    lines.append(f"filtration-support: {'PASS' if support else 'FAIL'}")
-    lines.append(f"max-abelian-ideal: {ideal}")
-  if args.format == "json":
-    _print_json(doc)
-  else:
-    _print_lines(lines)
+    fields += [_field("filtration_support", support,
+                      "PASS" if support else "FAIL", "filtration-support"),
+               _field("max_abelian_ideal", max_abelian_filtration_ideal(w),
+                      label="max-abelian-ideal")]
+  _render(fields, args.format)
   return EXIT_PASS if report.ok else EXIT_FAIL
 
 
 def cmd_center(args) -> int:
   algebra = _resolve_algebra(args)
-  center = center_basis(algebra)
-  if args.format == "json":
-    _print_json({"dim": algebra.dim,
-                 "center": [[format_rational(v) for v in vec]
-                            for vec in center]})
-  else:
-    lines = [f"dim: {algebra.dim}", f"center-dim: {len(center)}"]
-    for k, vec in enumerate(center):
-      lines.append(f"z[{k}]: " + " ".join(format_rational(v) for v in vec))
-    _print_lines(lines)
+  _render([_field("dim", algebra.dim), _center(center_basis(algebra))],
+          args.format)
   return EXIT_PASS
 
 
@@ -222,59 +239,23 @@ def cmd_compat(args) -> int:
   first = structure_constants_from_json(_load_json(args.first))
   second = structure_constants_from_json(_load_json(args.second))
   report = compatibility_check(first, second)
-
-  def _side(rep):
-    side: dict = {"result": "pass" if rep.ok else "fail"}
-    if not rep.ok:
-      side["violation"] = list(rep.violation)
-      side["residual"] = format_rational(rep.residual)
-    return side
-
-  if args.format == "json":
-    _print_json({
-        "dim": first.dim,
-        "mixed": _side(report.mixed),
-        "sum": _side(report.sum_jacobi),
-        "result": "compatible" if report.compatible else "incompatible",
-    })
-  else:
-    lines = [f"dim: {first.dim}",
-             f"mixed-jacobi: {'PASS' if report.mixed.ok else 'FAIL'}"]
-    if not report.mixed.ok:
-      lines.append("mixed-violation: " +
-                   " ".join(str(i) for i in report.mixed.violation))
-      lines.append(f"mixed-residual: {format_rational(report.mixed.residual)}")
-    lines.append(f"sum-jacobi: {'PASS' if report.sum_jacobi.ok else 'FAIL'}")
-    if not report.sum_jacobi.ok:
-      lines.append("sum-violation: " +
-                   " ".join(str(i) for i in report.sum_jacobi.violation))
-      lines.append(
-          f"sum-residual: {format_rational(report.sum_jacobi.residual)}")
-    lines.append(
-        f"result: {'COMPATIBLE' if report.compatible else 'INCOMPATIBLE'}")
-    _print_lines(lines)
+  _render([_field("dim", first.dim), _jacobi_side("mixed", report.mixed),
+           _jacobi_side("sum", report.sum_jacobi),
+           _verdict(report.compatible, ("compatible", "incompatible"))],
+          args.format)
   return EXIT_PASS if report.compatible else EXIT_FAIL
 
 
 def cmd_sandwich_check(args) -> int:
   report = sandwich_suite(args.n, args.p, args.trials, args.seed)
-  if args.format == "json":
-    _print_json({
-        "n": report.n, "p": report.p, "trials": report.trials,
-        "seed": report.seed, "closure_ok": report.closure_ok,
-        "component_ok": report.component_ok,
-        "coboundary_ok": report.coboundary_ok,
-        "result": "pass" if report.ok else "fail",
-    })
-  else:
-    _print_lines([
-        f"n: {report.n}", f"p: {report.p}", f"trials: {report.trials}",
-        f"seed: {report.seed}",
-        f"closure: {report.closure_ok}/{report.trials}",
-        f"component-vs-sandwich: {report.component_ok}/{report.trials}",
-        f"coboundary: {report.coboundary_ok}/{report.trials}",
-        f"result: {'PASS' if report.ok else 'FAIL'}",
-    ])
+  fields = [_field(key, getattr(report, key))
+            for key in ("n", "p", "trials", "seed")]
+  for key, label in (("closure_ok", "closure"),
+                     ("component_ok", "component-vs-sandwich"),
+                     ("coboundary_ok", "coboundary")):
+    k = getattr(report, key)
+    fields.append(_field(key, k, f"{k}/{report.trials}", label))
+  _render(fields + [_verdict(report.ok)], args.format)
   return EXIT_PASS if report.ok else EXIT_FAIL
 
 
@@ -289,7 +270,8 @@ def cmd_poisson_bracket(args) -> int:
     sys.stdout.write(_canonical_doc([("dim", doc["dim"])], "terms",
                                     doc["terms"]))
   else:
-    _print_lines([f"dim: {algebra.dim}", f"bracket: {poly_to_text(result)}"])
+    _render([_field("dim", algebra.dim),
+             _field("bracket", poly_to_text(result))], args.format)
   return EXIT_PASS
 
 
@@ -311,30 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
   mk = subs.add_parser("make-w", help="emit a canonical W-tensor file")
   mk_subs = mk.add_subparsers(dest="family", required=True)
-  for family in ("direct-sum", "leibnitz"):
-    fam = mk_subs.add_parser(family)
-    fam.add_argument("--n", type=int, required=True)
+  for family, (_, keywords, options) in _FAMILIES.items():
+    fam = mk_subs.add_parser(family, **keywords)
+    for flag, spec in options:
+      fam.add_argument(flag, **spec)
     fam.add_argument("--out", default=None)
     fam.set_defaults(func=cmd_make_w)
-  fam = mk_subs.add_parser("circulant")
-  fam.add_argument("--alpha", required=True,
-                   help="comma-separated rationals, e.g. 1,0,1/2")
-  fam.add_argument("--out", default=None)
-  fam.set_defaults(func=cmd_make_w)
-  fam = mk_subs.add_parser("leibnitz-deform")
-  fam.add_argument("--n", type=int, required=True)
-  fam.add_argument("--lambda", dest="lam", required=True,
-                   help="deformation parameter, a rational")
-  fam.add_argument("--out", default=None)
-  fam.set_defaults(func=cmd_make_w)
-  fam = mk_subs.add_parser("truncate")
-  fam.add_argument("--input", required=True, help="W-tensor file to truncate")
-  fam.add_argument("--out", default=None)
-  fam.set_defaults(func=cmd_make_w)
-  fam = mk_subs.add_parser("witness",
-                           help="stored symmetric-but-invalid witness")
-  fam.add_argument("--out", default=None)
-  fam.set_defaults(func=cmd_make_w)
 
   val = subs.add_parser("validate-w", help="check the universal identities")
   val.add_argument("--input", required=True)
@@ -343,17 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
   _add_format(val)
   val.set_defaults(func=cmd_validate_w)
 
-  cls = subs.add_parser("classify", help="isomorphism class of a circulant")
-  cls.add_argument("--alpha", required=True)
-  cls.add_argument("--tol", type=float, default=1e-9)
-  _add_format(cls)
-  cls.set_defaults(func=cmd_classify)
-
-  spec = subs.add_parser("spectrum", help="mu-spectrum of a circulant")
-  spec.add_argument("--alpha", required=True)
-  spec.add_argument("--tol", type=float, default=1e-9)
-  _add_format(spec)
-  spec.set_defaults(func=cmd_spectrum)
+  for name, help_text in (("classify", "isomorphism class of a circulant"),
+                          ("spectrum", "mu-spectrum of a circulant")):
+    cls = subs.add_parser(name, help=help_text)
+    cls.add_argument("--alpha", required=True)
+    cls.add_argument("--tol", type=float, default=1e-9)
+    _add_format(cls)
+    cls.set_defaults(func=cmd_classify)
 
   cert = subs.add_parser("certify",
                          help="certify Jacobi for the extension on G^n")
@@ -408,10 +368,13 @@ def main(argv=None) -> int:
     return args.func(args)
   except InternalCheckError as exc:
     print(f"internal-check-failure: {exc}", file=sys.stderr)
-    return EXIT_FAIL
+    return EXIT_FAULT
   except ValueError as exc:
     print(f"error: {exc}", file=sys.stderr)
     return EXIT_INPUT
+  except Exception as exc:  # a fault of the tool: one line, no traceback
+    print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -21,10 +21,13 @@ import numpy as np
 
 from .algebra_core import (StructureConstants, _so_table,
                            make_structure_constants)
-from .errors import InternalCheckError
+from .errors import InternalCheckError, SizeCapError
 from .linalg import frac_matrix, mats_equal
 
 Blocks = tuple[np.ndarray, ...]
+
+# cap on trials * (n*p)^3, the work of sandwich_suite: 20 trials at n*p = 16
+MAX_SANDWICH_WORK = 81_920
 
 
 def as_blocks(blocks) -> Blocks:
@@ -196,12 +199,17 @@ def sandwich_suite(n: int, p: int, trials: int, seed: int) -> SandwichSuiteRepor
 
   Per trial (x, a, y): the triple product keeps the block pattern, the
   component formula matches the embedded bracket, and the coboundary
-  identity holds -- all exactly.
+  identity holds -- all exactly.  The work grows as trials * (n*p)^3, which
+  is checked against MAX_SANDWICH_WORK before any trial runs.
   """
   if n < 1 or p < 1:
     raise ValueError("need n >= 1 and p >= 1")
   if trials < 1:
     raise ValueError("need at least one trial")
+  work = trials * (n * p)**3
+  if work > MAX_SANDWICH_WORK:
+    raise SizeCapError(f"trials * (n*p)^3 = {work} exceeds the cap "
+                       f"{MAX_SANDWICH_WORK}")
   rng = random.Random(seed)
   closure = component = coboundary = 0
   for _ in range(trials):

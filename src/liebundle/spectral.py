@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InternalCheckError
 from .linalg import rank
 from .rationals import as_fraction
-from .wtensor import MAX_N, WTensor, slice_matrix
+from .wtensor import MAX_N, WTensor
 
 DEFAULT_TOL = 1e-9
 
@@ -127,18 +127,6 @@ def diagonal_pattern_deviation(transformed: np.ndarray, spectrum: MuSpectrum) ->
   for k in range(n):
     expected[k, k, k] = spectrum.values[k]
   return float(np.max(np.abs(transformed - expected)))
-
-
-def commuting_family_check(w: WTensor) -> bool:
-  """Exact pairwise commutation of the slice matrices of W."""
-  slices = [slice_matrix(w, k) for k in range(w.n)]
-  for s in range(w.n):
-    for q in range(s + 1, w.n):
-      prod1 = slices[s].dot(slices[q])
-      prod2 = slices[q].dot(slices[s])
-      if (prod1 != prod2).any():
-        return False
-  return True
 
 
 def spectrum_report_json(cls: CirculantClass) -> dict:

@@ -6,11 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import liebundle
+from liebundle import cli
 from liebundle.cli import main
 
 
@@ -145,11 +149,19 @@ def test_validate_w_fail(tmp_path):
   assert run_cli("validate-w", "--input", wit) == (
       1, "n: 2\nentries: 2\nresult: FAIL\nfailure: quadratic\n"
          "indices: 0 0 1 1\nresidual: -1\n")
-  code, out = run_cli("validate-w", "--input", wit, "--format", "json")
-  assert code == 1
-  assert json.loads(out) == {"n": 2, "entries": 2, "result": "fail",
-                             "failure": "quadratic", "indices": [0, 0, 1, 1],
-                             "residual": "-1"}
+  for extra in ((), ("--cross-check",)):
+    assert run_cli("validate-w", "--input", wit, *extra,
+                   "--format", "json") == (
+        1, '{"n": 2, "entries": 2, "result": "fail", "failure": "quadratic", '
+           '"indices": [0, 0, 1, 1], "residual": "-1"}\n')
+
+
+def test_cross_check_is_bounded_at_the_size_cap(workdir):
+  # the direct route ran as an O(n^5) Fraction loop; n = 35 took minutes
+  _, write = workdir
+  empty = write("empty64.json", {"n": 64, "entries": []})
+  assert run_cli_bounded("validate-w", "--input", empty, "--cross-check",
+                         seconds=20) == 0
 
 
 def test_validate_w_asymmetric_file_is_a_validation_failure(workdir):
@@ -232,6 +244,19 @@ def test_certify_witness_fails(tmp_path):
   assert run_cli("certify", "--input", wit, "--algebra", "sl2") == (
       1, "n: 2\nalgebra: sl2\ndim: 6\nresult: FAIL\n"
          "violation: 0 3 4 1\nresidual: 4\n")
+  argv = ("certify", "--input", wit, "--algebra", "gl(2)", "--check-center",
+          "--check-filtration")
+  assert run_cli(*argv) == (
+      1, "n: 2\nalgebra: gl(2)\ndim: 8\nresult: FAIL\nviolation: 0 4 5 1\n"
+         "residual: 1\ncenter-dim: 2\nz[0]: 1 0 0 1 0 0 0 0\n"
+         "z[1]: 0 0 0 0 1 0 0 1\nfiltration-support: FAIL\n"
+         "max-abelian-ideal: 1\n")
+  assert run_cli(*argv, "--format", "json") == (
+      1, '{"n": 2, "algebra": "gl(2)", "dim": 8, "result": "fail", '
+         '"violation": [0, 4, 5, 1], "residual": "1", "center": '
+         '[["1", "0", "0", "1", "0", "0", "0", "0"], '
+         '["0", "0", "0", "0", "1", "0", "0", "1"]], '
+         '"filtration_support": false, "max_abelian_ideal": 1}\n')
 
 
 def test_certify_cap_exceeded(tmp_path):
@@ -250,6 +275,8 @@ def test_center_goldens():
                       "--format", "json")
   assert code == 0
   assert json.loads(out) == {"dim": 3, "center": [["0", "0", "1"]]}
+  assert run_cli("center", "--algebra", "heisenberg3", "--format", "json") == (
+      0, '{"dim": 3, "center": [["0", "0", "1"]]}\n')
 
 
 def test_center_from_constants_file(workdir):
@@ -297,6 +324,10 @@ def test_compat_incompatible_pair(workdir):
                       "--format", "json")
   assert code == 1
   assert json.loads(out)["result"] == "incompatible"
+  assert out == (
+      '{"dim": 3, "mixed": {"result": "fail", "violation": [0, 1, 2, 2], '
+      '"residual": "1"}, "sum": {"result": "fail", "violation": [0, 1, 2, 2], '
+      '"residual": "-1"}, "result": "incompatible"}\n')
 
 
 def test_compat_invalid_input_bracket(workdir):
@@ -326,6 +357,16 @@ def test_sandwich_check_golden():
   assert json.loads(out) == {"n": 2, "p": 2, "trials": 5, "seed": 0,
                              "closure_ok": 5, "component_ok": 5,
                              "coboundary_ok": 5, "result": "pass"}
+  assert out == ('{"n": 2, "p": 2, "trials": 5, "seed": 0, "closure_ok": 5, '
+                 '"component_ok": 5, "coboundary_ok": 5, "result": "pass"}\n')
+
+
+def test_sandwich_check_is_bounded_before_work():
+  # trials * (n*p)^3 above 81920 is refused; --n 64 --p 8 ran for minutes
+  assert run_cli_bounded("sandwich-check", "--n", "64", "--p", "8",
+                         "--trials", "1") == 2
+  assert run_cli("sandwich-check", "--n", "2", "--p", "8",
+                 "--trials", "21") == (2, "")
 
 
 def test_sandwich_check_seed_determinism():
@@ -404,6 +445,21 @@ def test_oversized_requests_are_rejected_before_work():
   assert run_cli_bounded("center", "--algebra", "gl(40)") == 2
 
 
+def test_tool_faults_exit_3(capsys, monkeypatch):
+  # a tolerance too coarse for a near-singular circulant: the two routes of
+  # the spectrum disagree, which is a fault of the tool, not a FAIL verdict
+  assert run_cli("classify", "--alpha=1,-999999999999/1000000000000") == (
+      3, "")
+  assert capsys.readouterr().err.startswith("internal-check-failure: ")
+
+  def broken(*args, **kwargs):
+    raise KeyError("boom")
+
+  monkeypatch.setattr(cli, "classify_circulant", broken)
+  assert run_cli("classify", "--alpha", "1,1") == (3, "")
+  assert capsys.readouterr().err == "internal-error: KeyError: 'boom'\n"
+
+
 def test_unknown_algebra():
   assert run_cli("center", "--algebra", "su5")[0] == 2
 
@@ -425,3 +481,61 @@ def test_usage_errors_exit_2():
   assert run_cli("no-such-command")[0] == 2
   assert run_cli("make-w", "circulant")[0] == 2        # missing --alpha
   assert run_cli("certify", "--algebra", "sl2")[0] == 2  # missing --input
+
+
+# ---------------------------------------------------------------------------
+# the three JSON loaders, fuzzed through main
+
+# mostly in-range indices and canonical values, some of every kind of error
+_SIZE = st.sampled_from([1, 2, 3] * 8 + [0, 6, -1, "2"])
+_INDEX = st.sampled_from([0, 1, 2] * 8 + [-1, 5, True, "1"])
+_VALUE = st.sampled_from(["1", "-1", "1/2", "-3/4", 2] * 8 +
+                         ["0", "2/4", "x", "", None, True, 1.5])
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "dim", "entries", "brackets", "terms", "i",
+                         "value"]), inner, max_size=4),
+    max_leaves=8)
+
+
+def _mostly(doc):
+  """A well-shaped document three times in four, else arbitrary JSON."""
+  return st.one_of(doc, doc, doc, _JUNK)
+
+
+_W_DOC = _mostly(st.fixed_dictionaries({"n": _SIZE, "entries": st.lists(
+    st.fixed_dictionaries({"i": _INDEX, "j": _INDEX, "k": _INDEX,
+                           "value": _VALUE}), max_size=5)}))
+_C_DOC = _mostly(st.fixed_dictionaries({"dim": _SIZE, "brackets": st.lists(
+    st.fixed_dictionaries({"a": _INDEX, "b": _INDEX, "coeffs": st.lists(
+        st.fixed_dictionaries({"e": _INDEX, "value": _VALUE}),
+        max_size=3)}), max_size=5)}))
+_P_DOC = _mostly(st.fixed_dictionaries({"dim": _SIZE, "terms": st.lists(
+    st.fixed_dictionaries({"exps": st.lists(_INDEX, max_size=5),
+                           "value": _VALUE}), max_size=4)}))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["validate-w", "certify", "truncate",
+                                "center", "compat", "poisson-bracket"]),
+       w=_W_DOC, c1=_C_DOC, c2=_C_DOC, f=_P_DOC, g=_P_DOC)
+def test_loaders_end_in_a_documented_exit_code(command, w, c1, c2, f, g):
+  with tempfile.TemporaryDirectory() as tmp:
+    paths = {}
+    for name, doc in (("w", w), ("c1", c1), ("c2", c2), ("f", f), ("g", g)):
+      paths[name] = str(Path(tmp) / f"{name}.json")
+      Path(paths[name]).write_text(json.dumps(doc))
+    argv = {
+        "validate-w": ["validate-w", "--input", paths["w"], "--cross-check"],
+        "certify": ["certify", "--input", paths["w"], "--algebra", "sl2"],
+        "truncate": ["make-w", "truncate", "--input", paths["w"]],
+        "center": ["center", "--constants", paths["c1"]],
+        "compat": ["compat", "--first", paths["c1"], "--second", paths["c2"]],
+        "poisson-bracket": ["poisson-bracket", "--constants", paths["c1"],
+                            "--f", paths["f"], "--g", paths["g"]],
+    }[command]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+      code, _ = run_cli(*argv)
+    assert code in (0, 1, 2), err.getvalue()

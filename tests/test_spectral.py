@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from liebundle import (InternalCheckError, basis_vector, bracket_eval,
                        builtin_algebra, circulant_rank_exact, circulant_w,
-                       classify_circulant, commuting_family_check, dft_inverse,
-                       dft_matrix, diagonal_pattern_deviation,
-                       induced_structure_constants, invalid_witness_w,
-                       mu_spectrum, slice_matrix, spectrum_report_json,
-                       transform_w)
+                       classify_circulant, dft_inverse, dft_matrix,
+                       diagonal_pattern_deviation, induced_structure_constants,
+                       invalid_witness_w, mu_spectrum, slice_matrix,
+                       spectrum_report_json, transform_w, wtensor_validate)
 from liebundle.linalg import rank
 
 F = Fraction
@@ -121,11 +120,14 @@ def test_slices_diagonalize_in_the_fourier_basis():
       assert abs(d - expected).max() < 1e-9
 
 
-def test_commuting_family_check():
+def test_circulant_slices_commute():
+  # the circulant slices commute pairwise; the witness's do not
   rng = random.Random(77)
   for n in (1, 2, 4, 6):
-    assert commuting_family_check(circulant_w(rand_alpha(rng, n)))
-  assert not commuting_family_check(invalid_witness_w())
+    assert wtensor_validate(circulant_w(rand_alpha(rng, n)),
+                            cross_check=True).ok
+  report = wtensor_validate(invalid_witness_w(), cross_check=True)
+  assert (report.ok, report.failure) == (False, "quadratic")
 
 
 def test_classify_oracles():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liebundle import (InternalCheckError, JacobiReport, SizeCapError, WTensor,
-                       alpha_slice_expand, builtin_algebra, circulant_w,
+                       WValidationReport, builtin_algebra, circulant_w,
                        compatibility_check, direct_sum_w, extension_bracket,
                        filtration_support_check, gn_basis,
                        induced_structure_constants, invalid_witness_w,
@@ -145,15 +145,68 @@ def test_leibnitz_slice_zero_is_identity_rest_nilpotent():
         assert sl[i, j] == (1 if i == j + k else 0)
 
 
-def test_alpha_slice_expand_matches_slice_matrix():
+def test_circulant_slices_match_closed_form():
+  # slice s of the circulant is M[i][j] = alpha_{(s+j-i) mod n}
   rng = random.Random(2)
   for n in (1, 2, 3, 5):
     a = rand_alpha(rng, n)
     w = circulant_w(a)
     for s in range(n):
-      assert mats_equal(alpha_slice_expand(a, s), slice_matrix(w, s))
+      sl = slice_matrix(w, s)
+      for i in range(n):
+        for j in range(n):
+          assert sl[i, j] == a[(s + j - i) % n]
   with pytest.raises(ValueError):
-    alpha_slice_expand((1, 0), 2)
+    slice_matrix(circulant_w((1, 0)), 2)
+
+
+def direct_oracle(w):
+  """Quadratic identity by a Fraction loop over (i, s, q, p) in order:
+  sum_k W^{sk}_i W^{qp}_k - W^{qk}_i W^{sp}_k, first nonzero reported."""
+  n = w.n
+  dense = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+  for (i, j, s), v in w.entries.items():
+    dense[i][j][s] = v
+  for i in range(n):
+    for s in range(n):
+      for q in range(n):
+        for p in range(n):
+          acc = sum((dense[s][k][i] * dense[q][p][k] -
+                     dense[q][k][i] * dense[s][p][k] for k in range(n)), F(0))
+          if acc != 0:
+            return WValidationReport(ok=False, failure="quadratic",
+                                     indices=(i, s, q, p), residual=acc)
+  return WValidationReport(ok=True)
+
+
+def test_direct_route_matches_fraction_oracle():
+  # wtensor_validate(cross_check=True) raises unless the two routes agree;
+  # the report must also equal the Fraction loop (symmetric W only: a
+  # symmetry failure is reported before either quadratic route runs)
+  rng = random.Random(11)
+  big = 2**63 + 1
+  seen = set()
+  for trial in range(240):
+    n = rng.randint(1, 5)
+    kind = ("symmetric", "one-sided", "fractional", "zero", "big")[trial % 5]
+    entries = {}
+    for _ in range(0 if kind == "zero" else rng.randint(1, 3 * n)):
+      i, j, s = (rng.randrange(n) for _ in range(3))
+      v = {"fractional": F(rng.randint(-5, 5), rng.randint(1, 6)),
+           "big": rng.choice((-big, big, 2 * big))}.get(kind,
+                                                       rng.randint(-2, 2))
+      entries[(i, j, s)] = v
+      if kind != "one-sided":
+        entries[(j, i, s)] = v
+    w = make_wtensor(n, entries)
+    report = wtensor_validate(w, cross_check=True)
+    if report.failure != "symmetry":
+      assert report == direct_oracle(w)
+    seen.add((kind, report.ok, report.failure))
+  for kind in ("symmetric", "fractional", "big"):
+    assert (kind, True, None) in seen and (kind, False, "quadratic") in seen
+  assert ("one-sided", False, "symmetry") in seen
+  assert ("zero", True, None) in seen
 
 
 # ---------------------------------------------------------------------------
