@@ -18,7 +18,8 @@ import json
 import sys
 
 from .algebra_core import (builtin_algebra, center_basis, compatibility_check,
-                           structure_constants_from_json)
+                           structure_constants_from_json,
+                           validate_structure_constants)
 from .errors import InternalCheckError
 from .matrix_bundle import sandwich_suite
 from .poisson import (lie_poisson_bracket, make_poisson_tensor, poly_from_json,
@@ -230,6 +231,10 @@ def cmd_certify(args) -> int:
 
 def cmd_center(args) -> int:
   algebra = _resolve_algebra(args)
+  if args.constants:  # a loaded table must be a Lie bracket, as in compat
+    report = validate_structure_constants(algebra)
+    if not report.ok:
+      raise ValueError(f"bracket fails Jacobi at {report.violation}")
   _render([_field("dim", algebra.dim), _center(center_basis(algebra))],
           args.format)
   return EXIT_PASS

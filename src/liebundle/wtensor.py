@@ -158,16 +158,17 @@ def slice_matrix(w: WTensor, k: int) -> np.ndarray:
   return out
 
 
-def _symmetry_violation(w: WTensor):
-  """Lexicographically first (i, j, s) with W^{ij}_s != W^{ji}_s and that
-  difference, or None."""
-  entries = w.entries
-  bad = [min((i, j, s), (j, i, s)) for (i, j, s), v in entries.items()
-         if v != entries.get((j, i, s), 0)]
-  if not bad:
-    return None
-  i, j, s = min(bad)
-  return (i, j, s), entries.get((i, j, s), 0) - entries.get((j, i, s), 0)
+# later slices per batched commutator product: the working set of a block is
+# a few 8 x n x n arrays; of blocks of 1, 4, 8, 16 and 64, 8 was the fastest
+# on a mix of tensors with n = 4..64
+_SLICE_BLOCK = 8
+
+
+def _symmetry_violation(dense: np.ndarray):
+  """Lexicographically first (i, j, s) with W^{ij}_s != W^{ji}_s on a dense
+  copy, or None."""
+  hits = np.argwhere(dense != dense.transpose(1, 0, 2))
+  return tuple(int(x) for x in hits[0]) if len(hits) else None
 
 
 def _cleared(values: dict, shape: tuple) -> tuple[np.ndarray, int, int]:
@@ -178,45 +179,60 @@ def _cleared(values: dict, shape: tuple) -> tuple[np.ndarray, int, int]:
   out = np.zeros(shape, dtype=object)
   max_abs = 0
   for key, v in values.items():
-    out[key] = v.numerator * (scale // v.denominator)
-    max_abs = max(max_abs, abs(out[key]))
+    x = out[key] = v.numerator * (scale // v.denominator)
+    if abs(x) > max_abs:
+      max_abs = abs(x)
   return out, scale, max_abs
 
 
-def _validate_by_slices(w: WTensor) -> WValidationReport:
-  """Quadratic identity of a symmetric W: pairwise commutators of the
-  slices, the lexicographically first nonzero entry with s < q."""
-  n = w.n
-  dense, scale, max_abs = _cleared(w.entries, (n, n, n))
-  # integer slices (W^(k))_i^j; int64 when a commutator entry n*M*M fits
-  slices = dense.transpose(0, 2, 1).astype(
-      np.int64 if n * max_abs**2 < 2**62 else object)
-  candidates = []
-  for s in range(n):
-    for q in range(s + 1, n):
-      comm = slices[s].dot(slices[q]) - slices[q].dot(slices[s])
-      nz = np.argwhere(comm != 0)
-      if len(nz):
-        sq_pairs = [((int(i), s, q, int(p)), comm[i, p]) for i, p in nz]
-        candidates.append(min(sq_pairs))
-  if not candidates:
+def _exact_dtype(n: int, max_abs: int):
+  """float64 when integer arithmetic on it is exact, else object.
+
+  A commutator entry of two slices, or a residual of the quadratic identity,
+  is a difference of two sums of n products of cleared entries, so every
+  product and partial sum is an integer of magnitude at most 2*n*M^2; below
+  2^53 float64 represents all of them, and so computes them exactly."""
+  return np.float64 if 2 * n * max_abs**2 < 2**53 else object
+
+
+def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
+  """Quadratic identity of a symmetric W from its cleared dense copy
+  (float64 or object, see ``_exact_dtype``): pairwise commutators of the
+  slices, the lexicographically first nonzero entry (i, s, q, p), s < q.
+
+  Slice s is multiplied against blocks of _SLICE_BLOCK later slices at once.
+  Every block is scanned, since a later block or a later s may hold a
+  smaller i."""
+  n = dense.shape[0]
+  slices = dense.transpose(0, 2, 1)  # [k, i, j]
+  best = None
+  for s in range(n - 1):
+    for q0 in range(s + 1, n, _SLICE_BLOCK):
+      block = slices[q0:q0 + _SLICE_BLOCK]
+      comm = slices[s] @ block - block @ slices[s]  # [q - q0, i, p]
+      hit = comm != 0
+      rows = np.flatnonzero(hit.any(axis=(0, 2)))
+      if len(rows):
+        i = int(rows[0])
+        q, p = (int(x) for x in np.argwhere(hit[:, i])[0])
+        if best is None or (i, s, q0 + q, p) < best[0]:
+          best = (i, s, q0 + q, p), comm[q, i, p]
+  if best is None:
     return WValidationReport(ok=True)
-  (indices, raw) = min(candidates)
+  indices, raw = best
   return WValidationReport(ok=False, failure="quadratic", indices=indices,
                            residual=Fraction(int(raw), scale * scale))
 
 
-def _validate_direct(w: WTensor) -> WValidationReport:
-  """Quadratic identity of a symmetric W, evaluated directly: the residual
-  R[i, s, q, p] = sum_k W^{sk}_i W^{qp}_k - W^{qk}_i W^{sp}_k on the
-  denominator-cleared integer copy, one index i at a time (an n^3 block).
-  The first nonzero in C order is the lexicographically first (i, s, q, p)."""
-  n = w.n
-  dense, scale, max_abs = _cleared(w.entries, (n, n, n))
-  # an entry of R is at most 2*n*M*M; int64 when that fits
-  dtype = np.int64 if 2 * n * max_abs**2 < 2**62 else object
+def _validate_direct(dense: np.ndarray, scale: int) -> WValidationReport:
+  """Quadratic identity of a symmetric W, evaluated directly on its cleared
+  dense copy (float64 or object, see ``_exact_dtype``): the residual
+  R[i, s, q, p] = sum_k W^{sk}_i W^{qp}_k - W^{qk}_i W^{sp}_k, one index i at
+  a time (an n^3 block).  The first nonzero in C order is the
+  lexicographically first (i, s, q, p)."""
+  n = dense.shape[0]
   # lower[i, s, k] = W^{sk}_i, read as lower[k, q, p] = W^{qp}_k as well
-  lower = np.ascontiguousarray(dense.transpose(2, 0, 1), dtype=dtype)
+  lower = np.ascontiguousarray(dense.transpose(2, 0, 1))
   for i in range(n):
     # t[s, q, p] = sum_k W^{sk}_i W^{qp}_k; the second term is t[q, s, p]
     t = lower[i].dot(lower.reshape(n, n * n)).reshape(n, n, n)
@@ -232,25 +248,30 @@ def _validate_direct(w: WTensor) -> WValidationReport:
 def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport:
   """Decide whether W defines a Lie bracket for every Lie algebra G.
 
-  Default route: symmetry scan plus pairwise commutation of the slice
-  matrices (on a denominator-cleared integer copy -- the identity is
-  homogeneous, so scaling cannot change the verdict).  With
-  ``cross_check=True`` the direct contraction of the quadratic identity runs
-  as well and any disagreement (verdict, indices or residual) raises
-  InternalCheckError.
+  W is cleared of denominators once, into a dense copy on which both
+  identities are checked -- the quadratic identity is homogeneous, so
+  scaling cannot change the verdict.  Default route: symmetry scan plus
+  pairwise commutation of the slice matrices.  With ``cross_check=True`` the
+  direct contraction of the quadratic identity runs as well and any
+  disagreement (verdict, indices or residual) raises InternalCheckError.
 
   When both identities fail, the symmetry violation is reported; quadratic
   violations carry the lexicographically first (i, s, q, p) with s < q (if
   (i, s, q, p) with s > q violates, the sign-flipped (i, q, s, p) violates
   too and precedes it, so nothing is missed).
   """
-  sym = _symmetry_violation(w)
+  n = w.n
+  dense, scale, max_abs = _cleared(w.entries, (n, n, n))
+  dense = dense.astype(_exact_dtype(n, max_abs))
+  sym = _symmetry_violation(dense)
   if sym is not None:
-    return WValidationReport(ok=False, failure="symmetry", indices=sym[0],
-                             residual=sym[1])
-  report = _validate_by_slices(w)
+    i, j, s = sym
+    return WValidationReport(
+        ok=False, failure="symmetry", indices=sym,
+        residual=Fraction(int(dense[i, j, s] - dense[j, i, s]), scale))
+  report = _validate_by_slices(dense, scale)
   if cross_check:
-    direct = _validate_direct(w)
+    direct = _validate_direct(dense, scale)
     if report != direct:
       raise InternalCheckError(
           f"validation routes disagree: slices={report!r} direct={direct!r}")
@@ -387,24 +408,24 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
       nd, nd, nd)
 
 
-def _certify_factorised(w: WTensor, c: StructureConstants) -> JacobiReport:
+def _certify_factorised(wd: np.ndarray, w_scale: int, w_max: int,
+                        c: StructureConstants) -> JacobiReport:
   """Jacobi residual of the extension bracket from its two factors.
 
   [[e_ia, e_jb], e_kc] = A[i, j, k, :] (x) D[a, b, c, :] with
   A[i, j, k, t] = sum_s W^{ij}_s W^{sk}_t and D[a, b, c, :] = [[e_a, e_b], e_c],
   so the residual [[u, v], t] + [[v, t], u] - [[u, t], v] at u = (i, a),
   v = (j, b), t = (k, c) is A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb).
-  It is evaluated on denominator-cleared arrays for one leading index u at a
-  time, an (nd)^3 block.
+  It is evaluated on denominator-cleared arrays (``wd`` is W's, from
+  ``_cleared``) for one leading index u at a time, an (nd)^3 block.
   """
-  n, d = w.n, c.dim
+  n, d = wd.shape[0], c.dim
   nd = n * d
   structure = {}
   for (a, b), coeffs in c.table.items():
     for e, v in coeffs.items():
       structure[(a, b, e)] = v
       structure[(b, a, e)] = -v
-  wd, w_scale, w_max = _cleared(w.entries, (n, n, n))
   cd, c_scale, c_max = _cleared(structure, (d, d, d))
   # an entry of A is at most n*Mw^2, one of D at most d*Mc^2; three terms
   dtype = np.int64 if 3 * n * d * (w_max * c_max)**2 < 2**62 else object
@@ -447,8 +468,9 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   nd = w.n * c.dim
   if nd > cap:
     raise SizeCapError(f"extension dimension {nd} exceeds cap {cap}")
-  report = _certify_factorised(w, c)
-  if _symmetry_violation(w) is None:
+  wd, w_scale, w_max = _cleared(w.entries, (w.n,) * 3)
+  report = _certify_factorised(wd, w_scale, w_max, c)
+  if _symmetry_violation(wd) is None:
     table = validate_structure_constants(induced_structure_constants(w, c, cap))
     if report != table:
       raise InternalCheckError(

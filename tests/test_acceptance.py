@@ -16,6 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
+import liebundle
 from liebundle import (basis_vector, bracket_eval, builtin_algebra,
                        casimir_linear_basis, center_basis, circulant_rank_exact,
                        circulant_w, compatibility_check, coordinate_poly,
@@ -388,9 +389,12 @@ def test_criterion_10_cli_determinism(tmp_path):
     if _run_cli(list(argv))[1] != expected:
       failures.append(" ".join(argv[:2]) + " (golden)")
 
-  # byte-identity across thread counts for the float-bearing subcommand
+  # byte-identity across thread counts for the float-bearing subcommand; the
+  # child imports the package the tests import
+  src = os.path.dirname(os.path.dirname(os.path.abspath(liebundle.__file__)))
   base_env = {k: v for k, v in os.environ.items()
               if not k.endswith("_NUM_THREADS")}
+  base_env["PYTHONPATH"] = src
   outputs = []
   for threads in ("1", "4"):
     env = dict(base_env, OMP_NUM_THREADS=threads,

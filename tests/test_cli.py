@@ -287,6 +287,19 @@ def test_center_from_constants_file(workdir):
       0, "dim: 3\ncenter-dim: 1\nz[0]: 0 0 1\n")
 
 
+def test_center_rejects_a_table_that_fails_jacobi(workdir, capsys):
+  # [e0,e1] = e2, [e0,e2] = e1, [e1,e2] = e1: well-formed, not a Lie bracket
+  _, write = workdir
+  path = write("bad.json", {"dim": 3, "brackets": [
+      {"a": 0, "b": 1, "coeffs": [{"e": 2, "value": "1"}]},
+      {"a": 0, "b": 2, "coeffs": [{"e": 1, "value": "1"}]},
+      {"a": 1, "b": 2, "coeffs": [{"e": 1, "value": "1"}]}]})
+  for fmt in ("text", "json"):
+    assert run_cli("center", "--constants", path, "--format", fmt) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bracket fails Jacobi at (0, 1, 2, 2)\n")
+
+
 # ---------------------------------------------------------------------------
 # compat
 

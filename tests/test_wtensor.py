@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,9 @@ from liebundle import (InternalCheckError, JacobiReport, SizeCapError, WTensor,
                        pencil_bracket, semisimple_form_check, slice_matrix,
                        truncate_to_solvable, validate_structure_constants,
                        wtensor_from_json, wtensor_to_json, wtensor_validate)
+from liebundle import wtensor
 from liebundle.linalg import identity_matrix, mats_equal
-from liebundle.wtensor import MAX_N
+from liebundle.wtensor import MAX_N, _SLICE_BLOCK
 
 F = Fraction
 
@@ -207,6 +210,68 @@ def test_direct_route_matches_fraction_oracle():
     assert (kind, True, None) in seen and (kind, False, "quadratic") in seen
   assert ("one-sided", False, "symmetry") in seen
   assert ("zero", True, None) in seen
+  # slice 0 meets the q in 1.._SLICE_BLOCK in its first block and the larger q
+  # in later blocks; the first violation lies in a later block, behind a
+  # violation with a larger i in the first block
+  for trial in range(6):
+    n = _SLICE_BLOCK + 2 + trial % 3
+    q1 = rng.randint(1, _SLICE_BLOCK)
+    q2 = rng.randint(_SLICE_BLOCK + 1, n - 1)
+    pool = [k for k in range(1, n) if k not in (q1, q2)]
+    x2, x1 = sorted(rng.sample(pool, 2))
+    a1, a2 = rng.sample([k for k in pool if k not in (x1, x2)], 2)
+    v1, v2 = (F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+              for _ in range(2))
+    first_block = planted_w(n, [(x1, a1, q1, v1)])
+    assert wtensor_validate(first_block).indices == (x1, 0, q1, q1)
+    w = planted_w(n, [(x1, a1, q1, v1), (x2, a2, q2, v2)])
+    report = wtensor_validate(w, cross_check=True)
+    assert report == direct_oracle(w)
+    assert (report.indices, report.residual) == ((x2, 0, q2, q2), v2)
+
+
+def planted_w(n, chains):
+  """Symmetric W whose only commutator entries with s < q are
+  (x, 0, q, q) = value, one per chain (x, a, q, value): W^{0a}_x = W^{a0}_x = 1
+  and W^{qq}_a = value.  The indices x, a, q of all chains must be nonzero
+  and distinct, so that no two chains meet."""
+  entries = {}
+  for x, a, q, value in chains:
+    entries[(0, a, x)] = entries[(a, 0, x)] = 1
+    entries[(q, q, a)] = value
+  return make_wtensor(n, entries)
+
+
+def test_exactness_bound_of_the_float64_route(monkeypatch):
+  # integers below 2^53 are exact in float64; every product and partial sum
+  # of a commutator or residual entry is at most 2*n*M^2 (M the largest
+  # cleared entry), so W takes the float64 route below that bound and object
+  # arrays above it
+  dtypes = []
+  slices = wtensor._validate_by_slices
+  monkeypatch.setattr(wtensor, "_validate_by_slices", lambda dense, scale: (
+      dtypes.append(dense.dtype) or slices(dense, scale)))
+
+  def bd_minus_fc(b, c, d, f):
+    # slices S_0 = [[0, b], [c, d]] and S_1 = [[b, f], [d, 0]]; entry (0, 0)
+    # of their commutator is bd - fc
+    return make_wtensor(2, {(0, 1, 0): b, (1, 0, 0): b, (0, 0, 1): c,
+                            (0, 1, 1): d, (1, 0, 1): d, (1, 1, 0): f})
+
+  m = 2**27  # (m + 1)^2 - m(m + 2) = 1, but (m + 1)^2 rounds to m(m + 2)
+  top = isqrt(2**51)  # 2*2*top^2 < 2^53 <= 2*2*(top + 1)^2
+  for w, dtype in ((bd_minus_fc(m + 1, m + 2, m + 1, m), object),
+                   (bd_minus_fc(top - 1, top, top - 1, top - 2), np.float64)):
+    for cross_check in (False, True):
+      report = wtensor_validate(w, cross_check=cross_check)
+      assert report == direct_oracle(w)
+      assert (report.indices, report.residual) == ((0, 0, 1, 0), 1)
+    assert dtypes == [dtype, dtype]
+    dtypes.clear()
+  # the symmetry scan reads the same copy: 2^60 + 1 and 2^60 are one float
+  one_sided = make_wtensor(2, {(0, 1, 0): 2**60 + 1, (1, 0, 0): 2**60})
+  assert wtensor_validate(one_sided) == WValidationReport(
+      ok=False, failure="symmetry", indices=(0, 1, 0), residual=F(1))
 
 
 # ---------------------------------------------------------------------------
