@@ -22,9 +22,8 @@ from math import lcm
 
 import numpy as np
 
-from .algebra_core import (JacobiReport, StructureConstants, bracket_eval,
-                           make_structure_constants,
-                           validate_structure_constants)
+from .algebra_core import (MAX_DIM, JacobiReport, StructureConstants,
+                           bracket_eval, make_structure_constants)
 from .errors import InternalCheckError, SizeCapError
 from .linalg import identity_matrix, is_nilpotent, mats_equal, zeros_matrix
 from .rationals import as_fraction, format_rational
@@ -370,6 +369,13 @@ def extension_bracket(w: WTensor, c: StructureConstants, x, y) -> tuple:
   return tuple(tuple(row) for row in result)
 
 
+def _check_extension_dim(nd: int, cap: int) -> None:
+  """Refuse an extension of dimension above ``cap`` or ``MAX_DIM``."""
+  if nd > min(cap, MAX_DIM):
+    raise SizeCapError(
+        f"extension dimension {nd} exceeds cap {min(cap, MAX_DIM)}")
+
+
 def induced_structure_constants(w: WTensor, c: StructureConstants,
                                 cap: int = DEFAULT_CAP) -> StructureConstants:
   """Structure constants of the extension on G^n via the product formula
@@ -377,8 +383,7 @@ def induced_structure_constants(w: WTensor, c: StructureConstants,
   """
   n, d = w.n, c.dim
   nd = n * d
-  if nd > cap:
-    raise SizeCapError(f"extension dimension {nd} exceeds cap {cap}")
+  _check_extension_dim(nd, cap)
   brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
   for (i, j, s), wv in w.entries.items():
     for (a, b), coeffs in c.table.items():
@@ -408,28 +413,19 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
       nd, nd, nd)
 
 
-def _certify_factorised(wd: np.ndarray, w_scale: int, w_max: int,
-                        c: StructureConstants) -> JacobiReport:
+def _certify_factorised(wd: np.ndarray, cd: np.ndarray,
+                        scale: int) -> JacobiReport:
   """Jacobi residual of the extension bracket from its two factors.
 
   [[e_ia, e_jb], e_kc] = A[i, j, k, :] (x) D[a, b, c, :] with
   A[i, j, k, t] = sum_s W^{ij}_s W^{sk}_t and D[a, b, c, :] = [[e_a, e_b], e_c],
   so the residual [[u, v], t] + [[v, t], u] - [[u, t], v] at u = (i, a),
   v = (j, b), t = (k, c) is A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb).
-  It is evaluated on denominator-cleared arrays (``wd`` is W's, from
-  ``_cleared``) for one leading index u at a time, an (nd)^3 block.
+  It is evaluated on the cleared copies ``wd`` and ``cd`` (see
+  ``jacobi_certify``) for one leading index u at a time, an (nd)^3 block.
   """
-  n, d = wd.shape[0], c.dim
+  n, d = wd.shape[0], cd.shape[0]
   nd = n * d
-  structure = {}
-  for (a, b), coeffs in c.table.items():
-    for e, v in coeffs.items():
-      structure[(a, b, e)] = v
-      structure[(b, a, e)] = -v
-  cd, c_scale, c_max = _cleared(structure, (d, d, d))
-  # an entry of A is at most n*Mw^2, one of D at most d*Mc^2; three terms
-  dtype = np.int64 if 3 * n * d * (w_max * c_max)**2 < 2**62 else object
-  wd, cd = wd.astype(dtype), cd.astype(dtype)
   later = np.triu(np.ones((nd, nd), dtype=bool), 1)  # later[v, t]: t > v
   for i in range(n):
     # A[i, j, k, t], A[j, k, i, t] and A[i, k, j, t], each at [j, k, t]
@@ -447,8 +443,37 @@ def _certify_factorised(wd: np.ndarray, w_scale: int, w_max: int,
       if len(hits):
         v, t, f = (int(x) for x in hits[0])
         v += u + 1
-        residual = Fraction(int(r[v, t, f]), (w_scale * c_scale)**2)
+        residual = Fraction(int(r[v, t, f]), scale**2)
         return JacobiReport(ok=False, violation=(u, v, t, f), residual=residual)
+  return JacobiReport(ok=True)
+
+
+def _certify_induced(wd: np.ndarray, cd: np.ndarray,
+                     scale: int) -> JacobiReport:
+  """Jacobi scan of the induced table, densely, for a symmetric W.
+
+  The table T[(i,a), (j,b), (s,e)] = W^{ij}_s c_ab^e is the outer product
+  of the cleared copies ``wd`` and ``cd`` (see ``jacobi_certify``).  For
+  each leading index u, with P[x, y, f] = sum_g T[u, x, g] T[g, y, f], the
+  Jacobiator J(u, v, t)_f = [[u, v], t] + [[v, t], u] + [[t, u], v] is
+  P[v, t, f] - P[t, v, f] + sum_g T[v, t, g] T[g, u, f], two matrix products
+  over v, t > u.  T is antisymmetric, so J is alternating and its first
+  nonzero in C order has v < t: the lexicographically first (u, v, t, f),
+  the one ``_jacobi_scan`` reports on ``induced_structure_constants``.
+  """
+  table = _outer(wd, cd)
+  nd = table.shape[0]
+  for u in range(nd - 2):
+    k = nd - u - 1
+    p = table[u, u + 1:].dot(table[:, u + 1:].reshape(nd, k * nd))
+    p = p.reshape(k, k, nd)
+    jac = p - p.transpose(1, 0, 2) + table[u + 1:, u + 1:].reshape(
+        k * k, nd).dot(table[:, u]).reshape(k, k, nd)
+    hits = np.argwhere(jac != 0)
+    if len(hits):
+      v, t, f = (int(x) for x in hits[0])
+      return JacobiReport(ok=False, violation=(u, u + 1 + v, u + 1 + t, f),
+                          residual=Fraction(int(jac[v, t, f]), scale**2))
   return JacobiReport(ok=True)
 
 
@@ -461,17 +486,31 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   Violations carry flat indices (u, v, t, f) with u < v < t, f = s*d + e,
   the lexicographically first.  When W is symmetric in its upper indices the
   extension bracket is the one of ``induced_structure_constants``, and the
-  report is cross-checked against validating that table: any difference
-  raises InternalCheckError.  An asymmetric W has no such table (the induced
-  one stores u < v only), so its report comes from the factorised route.
+  report is cross-checked against the Jacobiator of that table
+  (``_certify_induced``): any difference raises InternalCheckError.  An
+  asymmetric W has no such table (the induced one stores u < v only), so
+  its report comes from the factorised route.  Both routes read one cleared
+  copy of W and one of G.
   """
-  nd = w.n * c.dim
-  if nd > cap:
-    raise SizeCapError(f"extension dimension {nd} exceeds cap {cap}")
-  wd, w_scale, w_max = _cleared(w.entries, (w.n,) * 3)
-  report = _certify_factorised(wd, w_scale, w_max, c)
+  n, d = w.n, c.dim
+  _check_extension_dim(n * d, cap)
+  structure = {}
+  for (a, b), coeffs in c.table.items():
+    for e, v in coeffs.items():
+      structure[(a, b, e)] = v
+      structure[(b, a, e)] = -v
+  wd, w_scale, w_max = _cleared(w.entries, (n,) * 3)
+  cd, c_scale, c_max = _cleared(structure, (d,) * 3)
+  # both routes sum 3*n*d products of two table entries W^{ij}_s c_ab^e (the
+  # factorised one grouped), so every partial sum is at most this bound;
+  # max(., 1) bounds the factors' own entries too.  float64 is exact below
+  # 2^53 and multiplies on BLAS, int64 is exact below 2^62
+  bound = 3 * n * d * (max(w_max, 1) * max(c_max, 1))**2
+  dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+  wd, cd = wd.astype(dtype), cd.astype(dtype)
+  report = _certify_factorised(wd, cd, w_scale * c_scale)
   if _symmetry_violation(wd) is None:
-    table = validate_structure_constants(induced_structure_constants(w, c, cap))
+    table = _certify_induced(wd, cd, w_scale * c_scale)
     if report != table:
       raise InternalCheckError(
           f"certify routes disagree: factorised={report!r} table={table!r}")

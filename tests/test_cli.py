@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import liebundle
-from liebundle import cli
+from liebundle import cli, circulant_w, leibnitz_w, wtensor_to_json
 from liebundle.cli import main
 
 
@@ -161,6 +161,11 @@ def test_cross_check_is_bounded_at_the_size_cap(workdir):
   _, write = workdir
   empty = write("empty64.json", {"n": 64, "entries": []})
   assert run_cli_bounded("validate-w", "--input", empty, "--cross-check",
+                         seconds=20) == 0
+  # certify's cross-check on a dense 64-dimensional induced table; the
+  # sparse table scan took about 4 s
+  dense = write("circ16.json", wtensor_to_json(circulant_w(range(1, 17))))
+  assert run_cli_bounded("certify", "--input", dense, "--algebra", "gl(2)",
                          seconds=20) == 0
 
 
@@ -453,9 +458,14 @@ def run_cli_bounded(*argv, seconds=5):
   return proc.returncode
 
 
-def test_oversized_requests_are_rejected_before_work():
+def test_oversized_requests_are_rejected_before_work(workdir):
   assert run_cli_bounded("make-w", "leibnitz", "--n", "100000") == 2
   assert run_cli_bounded("center", "--algebra", "gl(40)") == 2
+  # n*d = 72: a --cap above the dimension cap 64 does not lift it
+  _, write = workdir
+  leib8 = write("leib8.json", wtensor_to_json(leibnitz_w(8)))
+  assert run_cli_bounded("certify", "--input", leib8, "--algebra", "gl(3)",
+                         "--cap", "100") == 2
 
 
 def test_tool_faults_exit_3(capsys, monkeypatch):

@@ -242,6 +242,13 @@ def planted_w(n, chains):
   return make_wtensor(n, entries)
 
 
+def bd_minus_fc(b, c, d, f):
+  """Symmetric n = 2 tensor with slices S_0 = [[0, b], [c, d]] and
+  S_1 = [[b, f], [d, 0]]; entry (0, 0) of their commutator is bd - fc."""
+  return make_wtensor(2, {(0, 1, 0): b, (1, 0, 0): b, (0, 0, 1): c,
+                          (0, 1, 1): d, (1, 0, 1): d, (1, 1, 0): f})
+
+
 def test_exactness_bound_of_the_float64_route(monkeypatch):
   # integers below 2^53 are exact in float64; every product and partial sum
   # of a commutator or residual entry is at most 2*n*M^2 (M the largest
@@ -251,12 +258,6 @@ def test_exactness_bound_of_the_float64_route(monkeypatch):
   slices = wtensor._validate_by_slices
   monkeypatch.setattr(wtensor, "_validate_by_slices", lambda dense, scale: (
       dtypes.append(dense.dtype) or slices(dense, scale)))
-
-  def bd_minus_fc(b, c, d, f):
-    # slices S_0 = [[0, b], [c, d]] and S_1 = [[b, f], [d, 0]]; entry (0, 0)
-    # of their commutator is bd - fc
-    return make_wtensor(2, {(0, 1, 0): b, (1, 0, 0): b, (0, 0, 1): c,
-                            (0, 1, 1): d, (1, 0, 1): d, (1, 1, 0): f})
 
   m = 2**27  # (m + 1)^2 - m(m + 2) = 1, but (m + 1)^2 rounds to m(m + 2)
   top = isqrt(2**51)  # 2*2*top^2 < 2^53 <= 2*2*(top + 1)^2
@@ -515,18 +516,113 @@ def test_certify_entries_beyond_int64():
     assert jacobi_certify(w, sl2) == certify_oracle(w, sl2)
   rep = jacobi_certify(witness, sl2)
   assert rep.violation == (0, 3, 4, 1) and rep.residual == 4 * big**2
+  # over an abelian G every product vanishes, but W's entries must still
+  # convert: 2^1100 is beyond float64's range
+  assert jacobi_certify(make_wtensor(2, {(0, 0, 0): 2**1100}),
+                        builtin_algebra("abelian(2)")).ok
 
 
 def test_certify_cross_checks_the_table_for_symmetric_w(monkeypatch):
   sl2 = builtin_algebra("sl2")
   wrong = JacobiReport(ok=False, violation=(0, 1, 2, 0), residual=F(1))
-  monkeypatch.setattr("liebundle.wtensor.validate_structure_constants",
-                      lambda c: wrong)
+  monkeypatch.setattr("liebundle.wtensor._certify_induced",
+                      lambda wd, cd, scale: wrong)
   with pytest.raises(InternalCheckError):
     jacobi_certify(direct_sum_w(2), sl2)
   # an asymmetric W has no table route, so the wrong table is never asked
   one_sided = make_wtensor(2, {(0, 1, 1): 1, (0, 0, 0): 1})
   assert jacobi_certify(one_sided, sl2) == certify_oracle(one_sided, sl2)
+
+
+@pytest.fixture
+def induced_route(monkeypatch):
+  """(dtype, report) of every call of certify's dense induced-table route."""
+  calls = []
+  route = wtensor._certify_induced
+
+  def record(wd, cd, scale):
+    report = route(wd, cd, scale)
+    calls.append((wd.dtype, report))
+    return report
+
+  monkeypatch.setattr(wtensor, "_certify_induced", record)
+  return calls
+
+
+def table_scan(w, c):
+  return validate_structure_constants(induced_structure_constants(w, c))
+
+
+def test_induced_route_matches_the_table_scan(induced_route):
+  rng = random.Random(36)
+  algebras = [builtin_algebra(x) for x in ("sl2", "so3", "heisenberg3",
+                                           "gl(2)", "so(4)")]
+  seen = set()
+  for g in algebras:
+    for n in sorted({1, 2, 3, rng.randint(4, 36 // g.dim), 36 // g.dim}):
+      entries = {}
+      for _ in range(rng.randint(1, 2 * n)):
+        i, j, s = (rng.randrange(n) for _ in range(3))
+        entries[(i, j, s)] = entries[(j, i, s)] = rng.randint(-3, 3) or 1
+      tensors = [make_wtensor(n, entries)] + [
+          w for w in random_certify_tensors(rng, n)
+          if all(w.entries.get((j, i, s)) == v
+                 for (i, j, s), v in w.entries.items())]
+      for w in tensors:
+        rep = jacobi_certify(w, g)
+        assert induced_route[-1] == (np.float64, rep) and rep == table_scan(
+            w, g), (w, g.name)
+        seen.add("pass" if rep.ok else "u > 0" if rep.violation[0] else "u = 0")
+  # the stored witness moved to blocks x < y: no violation before block x
+  # (over heisenberg3, which is 2-step nilpotent, it has none)
+  for x, y, n in ((1, 2, 3), (2, 3, 4), (1, 3, 5), (3, 4, 5)):
+    w = make_wtensor(n, {(x, y, x): 1, (y, x, x): 1})
+    for g in algebras[:2] + algebras[3:]:
+      rep = jacobi_certify(w, g)
+      assert induced_route[-1][1] == rep == table_scan(w, g), (w, g.name)
+      assert rep.violation[0] >= x * g.dim
+  assert seen == {"pass", "u = 0", "u > 0"}
+
+
+def test_exactness_bound_of_the_induced_route(induced_route):
+  # a Jacobiator entry of the induced table sums 3*n*d products of two table
+  # entries, each at most Mw*Mc: float64 below 3*n*d*(Mw*Mc)^2 < 2^53, int64
+  # below 2^62, object arrays from there on
+  gl2 = builtin_algebra("gl(2)")  # Mc = 1, n*d = 8
+  m = 2**27  # (m + 1)^2 - m(m + 2) = 1, but (m + 1)^2 rounds to m(m + 2)
+  cases = [(bd_minus_fc(m + 1, m + 2, m + 1, m), np.int64)]
+  for bits, below, above in ((53, np.float64, np.int64), (62, np.int64, object)):
+    top = isqrt((2**bits - 1) // 24)  # 24*top^2 < 2^bits <= 24*(top + 1)^2
+    cases += [(bd_minus_fc(top - 1, top, top - 1, top - 2), below),
+              (bd_minus_fc(top, top + 1, top, top - 1), above)]
+  for w, dtype in cases:
+    rep = jacobi_certify(w, gl2)
+    assert induced_route[-1] == (dtype, rep) and rep == table_scan(w, gl2)
+    assert (rep.violation, rep.residual) == ((0, 1, 4, 1), 1)
+
+
+def test_valid_tensors_certify_over_every_algebra():
+  # a W that passes validation gives a Lie bracket on G^n for every G
+  rng = random.Random(64)
+  for name in ("sl2", "so3", "heisenberg3", "abelian(2)", "gl(2)", "so(4)",
+               "gl(3)", "so(5)", "gl(4)"):
+    g = builtin_algebra(name)
+    for n in sorted({1, 2, 3, 36 // g.dim}):
+      for w in (direct_sum_w(n), leibnitz_w(n), circulant_w(rand_alpha(rng, n)),
+                leibnitz_deform(n, rng.choice(LAMBDA_SET))):
+        assert wtensor_validate(w).ok
+        assert jacobi_certify(w, g).ok, (w, name)
+  # dense circulants at the cap n*d <= 64
+  for name, n in (("sl2", 21), ("so(5)", 6), ("gl(8)", 1)):
+    w = circulant_w(rand_alpha(rng, n))
+    assert wtensor_validate(w).ok
+    assert jacobi_certify(w, builtin_algebra(name)).ok, (w, name)
+  witness = invalid_witness_w()
+  for name, violation, residual in (("sl2", (0, 3, 4, 1), 4),
+                                    ("so3", (0, 3, 4, 1), -1),
+                                    ("gl(2)", (0, 4, 5, 1), 1)):
+    assert jacobi_certify(witness, builtin_algebra(name)) == JacobiReport(
+        ok=False, violation=violation, residual=F(residual))
 
 
 def test_builders_reject_n_before_building():
@@ -544,6 +640,11 @@ def test_certify_cap():
     jacobi_certify(direct_sum_w(2), sl2, cap=5)
   with pytest.raises(SizeCapError):
     induced_structure_constants(direct_sum_w(2), sl2, cap=5)
+  # a cap above MAX_DIM does not lift it: n*d = 72 > 64
+  gl3 = builtin_algebra("gl(3)")
+  for check in (jacobi_certify, induced_structure_constants):
+    with pytest.raises(SizeCapError):
+      check(leibnitz_w(8), gl3, cap=100)
 
 
 def test_deform_parts_are_compatible_brackets():
