@@ -501,10 +501,8 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
       structure[(b, a, e)] = -v
   wd, w_scale, w_max = _cleared(w.entries, (n,) * 3)
   cd, c_scale, c_max = _cleared(structure, (d,) * 3)
-  # both routes sum 3*n*d products of two table entries W^{ij}_s c_ab^e (the
-  # factorised one grouped), so every partial sum is at most this bound;
-  # max(., 1) bounds the factors' own entries too.  float64 is exact below
-  # 2^53 and multiplies on BLAS, int64 is exact below 2^62
+  # a partial sum in either route adds at most 3*n*d products of two table
+  # entries W^{ij}_s c_ab^e; max(., 1) bounds each factor's own entries too
   bound = 3 * n * d * (max(w_max, 1) * max(c_max, 1))**2
   dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
   wd, cd = wd.astype(dtype), cd.astype(dtype)
