@@ -8,7 +8,8 @@ preserve the block pattern), its components are
     ([x, y]_a)_i = sum_{s,k} (x_s a_m y_k - y_k a_m x_s),  m = (s+k-i) mod n,
 
 and the whole bracket is the coboundary of beta_A(X) = (AX + XA)/2 inside
-the full matrix algebra.  Everything here is exact (Fraction blocks).
+the full matrix algebra.  Everything here is exact: Fraction blocks in the
+public functions, cleared int64 blocks in sandwich_suite.
 """
 
 from __future__ import annotations
@@ -42,105 +43,117 @@ def as_blocks(blocks) -> Blocks:
   return mats
 
 
+def _stacks(*args) -> list[np.ndarray]:
+  """Fraction stacks of shape (n, p, p), one per argument, all one shape."""
+  out = [np.stack(as_blocks(b)) for b in args]
+  if any(s.shape != out[0].shape for s in out):
+    raise ValueError("arguments must share block count and block size")
+  return out
+
+
+def _embed(x: np.ndarray) -> np.ndarray:
+  """np x np matrix with (i, j)-block x[(i + j) mod n], from an (n, p, p)
+  stack of any dtype, by one gather."""
+  n, p = x.shape[:2]
+  r = np.arange(n)
+  return x[(r[:, None] + r) % n].transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+def _first_row(mat: np.ndarray, n: int, p: int) -> np.ndarray:
+  """(n, p, p) stack of the first block row."""
+  return mat[:p].reshape(p, n, p).transpose(1, 0, 2)
+
+
 def embed_circulant(blocks) -> np.ndarray:
   """np x np matrix X with X_(i,j)-block = x_{(i+j) mod n}."""
-  mats = as_blocks(blocks)
-  n = len(mats)
-  p = mats[0].shape[0]
-  out = np.empty((n * p, n * p), dtype=object)
-  for i in range(n):
-    for j in range(n):
-      out[i * p:(i + 1) * p, j * p:(j + 1) * p] = mats[(i + j) % n]
-  return out
+  return _embed(np.stack(as_blocks(blocks)))
 
 
 def extract_blocks(mat: np.ndarray, n: int, p: int) -> Blocks:
   """Read the block vector off the first block row."""
   if mat.shape != (n * p, n * p):
     raise ValueError(f"matrix is not {n * p} x {n * p}")
-  return tuple(mat[0:p, j * p:(j + 1) * p].copy() for j in range(n))
+  return tuple(_first_row(mat, n, p).copy())
 
 
 def has_circulant_pattern(mat: np.ndarray, n: int, p: int) -> bool:
   """Exact check that mat equals the embedding of its first block row."""
   if mat.shape != (n * p, n * p):
     return False
-  return mats_equal(mat, embed_circulant(extract_blocks(mat, n, p)))
+  return mats_equal(mat, _embed(_first_row(mat, n, p)))
 
 
-def _checked_extract(mat: np.ndarray, n: int, p: int, what: str) -> Blocks:
+def _checked(mat: np.ndarray, n: int, p: int, what: str) -> np.ndarray:
   if not has_circulant_pattern(mat, n, p):
     raise InternalCheckError(
         f"{what} left the block-circulant pattern: implementation bug")
-  return extract_blocks(mat, n, p)
+  return _first_row(mat, n, p)
+
+
+def _sandwich(bx, ba, by) -> np.ndarray:
+  return bx @ ba @ by - by @ ba @ bx
+
+
+def _bracket(x, a, y) -> np.ndarray:
+  return _checked(_sandwich(_embed(x), _embed(a), _embed(y)), *x.shape[:2],
+                  "sandwich bracket")
+
+
+def _component(x, a, y) -> np.ndarray:
+  """The component formula, per i broadcast over (s, k): n^2 p^2 temporaries."""
+  r = np.arange(len(x))
+  xs, ys = x[:, None], y[None, :]
+  ams = (a[(r[:, None] + r - i) % len(r)] for i in r)
+  return np.stack([(xs @ am @ ys - ys @ am @ xs).sum(axis=(0, 1))
+                   for am in ams])
+
+
+def _bprime(ba, mat) -> np.ndarray:
+  """b'(M) = A M + M A, twice beta_A."""
+  return ba @ mat + mat @ ba
+
+
+def _coboundary_holds(a, x, y) -> bool:
+  """2(XAY - YAX) = [X, b'Y] - [Y, b'X] - b'([X, Y]), the coboundary
+  identity times 2, so integer stacks need no division."""
+  ba, bx, by = _embed(a), _embed(x), _embed(y)
+
+  def comm(m1, m2):
+    return m1 @ m2 - m2 @ m1
+
+  rhs = (comm(bx, _bprime(ba, by)) - comm(by, _bprime(ba, bx)) -
+         _bprime(ba, comm(bx, by)))
+  return mats_equal(2 * _sandwich(bx, ba, by), rhs)
 
 
 def sandwich_product(x, a, y) -> Blocks:
   """Blocks of X A Y (pattern-checked: triple products stay embeddable)."""
-  xb, ab, yb = as_blocks(x), as_blocks(a), as_blocks(y)
-  n, p = len(xb), xb[0].shape[0]
-  if not (len(ab) == len(yb) == n and ab[0].shape == yb[0].shape == (p, p)):
-    raise ValueError("x, a, y must share block count and block size")
-  big = embed_circulant(xb).dot(embed_circulant(ab)).dot(embed_circulant(yb))
-  return _checked_extract(big, n, p, "sandwich product")
+  xs, as_, ys = _stacks(x, a, y)
+  return tuple(_checked(_embed(xs) @ _embed(as_) @ _embed(ys), *xs.shape[:2],
+                        "sandwich product"))
 
 
 def bracket_sandwich(x, a, y) -> Blocks:
   """Blocks of [x, y]_a = X A Y - Y A X via the embedding."""
-  xb, ab, yb = as_blocks(x), as_blocks(a), as_blocks(y)
-  n, p = len(xb), xb[0].shape[0]
-  if not (len(ab) == len(yb) == n and ab[0].shape == yb[0].shape == (p, p)):
-    raise ValueError("x, a, y must share block count and block size")
-  bx, ba, by = embed_circulant(xb), embed_circulant(ab), embed_circulant(yb)
-  big = bx.dot(ba).dot(by) - by.dot(ba).dot(bx)
-  return _checked_extract(big, n, p, "sandwich bracket")
+  return tuple(_bracket(*_stacks(x, a, y)))
 
 
 def component_bracket(x, a, y) -> Blocks:
   """Componentwise formula for [x, y]_a, never touching the embedding."""
-  xb, ab, yb = as_blocks(x), as_blocks(a), as_blocks(y)
-  n, p = len(xb), xb[0].shape[0]
-  if not (len(ab) == len(yb) == n and ab[0].shape == yb[0].shape == (p, p)):
-    raise ValueError("x, a, y must share block count and block size")
-  zero = np.full((p, p), Fraction(0), dtype=object)
-  out = []
-  for i in range(n):
-    acc = zero.copy()
-    for s in range(n):
-      for k in range(n):
-        am = ab[(s + k - i) % n]
-        acc = acc + xb[s].dot(am).dot(yb[k]) - yb[k].dot(am).dot(xb[s])
-    out.append(acc)
-  return tuple(out)
+  return tuple(_component(*_stacks(x, a, y)))
 
 
 def beta_map(a, x) -> Blocks:
   """First block row of (A X + X A) / 2."""
-  ab, xb = as_blocks(a), as_blocks(x)
-  n, p = len(xb), xb[0].shape[0]
-  if len(ab) != n or ab[0].shape != (p, p):
-    raise ValueError("a and x must share block count and block size")
-  ba, bx = embed_circulant(ab), embed_circulant(xb)
-  sym = (ba.dot(bx) + bx.dot(ba)) * Fraction(1, 2)
-  return extract_blocks(sym, n, p)
+  sa, sx = _stacks(a, x)
+  return tuple(_first_row(_bprime(_embed(sa), _embed(sx)) * Fraction(1, 2),
+                          *sx.shape[:2]))
 
 
 def coboundary_identity_check(a, x, y) -> bool:
   """Exact identity X A Y - Y A X = [X, bY] - [Y, bX] - b([X, Y]) with
   b(M) = (A M + M A)/2, all commutators in the full np x np algebra."""
-  ab, xb, yb = as_blocks(a), as_blocks(x), as_blocks(y)
-  ba, bx, by = embed_circulant(ab), embed_circulant(xb), embed_circulant(yb)
-  half = Fraction(1, 2)
-
-  def beta(mat):
-    return (ba.dot(mat) + mat.dot(ba)) * half
-
-  def comm(m1, m2):
-    return m1.dot(m2) - m2.dot(m1)
-
-  lhs = bx.dot(ba).dot(by) - by.dot(ba).dot(bx)
-  rhs = comm(bx, beta(by)) - comm(by, beta(bx)) - beta(comm(bx, by))
-  return mats_equal(lhs, rhs)
+  return _coboundary_holds(*_stacks(a, x, y))
 
 
 def so_sym_bundle(p: int, a) -> StructureConstants:
@@ -183,15 +196,11 @@ class SandwichSuiteReport:
     return self.ok
 
 
-def _random_blocks(rng: random.Random, n: int, p: int) -> Blocks:
-  out = []
-  for _ in range(n):
-    mat = np.empty((p, p), dtype=object)
-    for r in range(p):
-      for s in range(p):
-        mat[r, s] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
-    out.append(mat)
-  return tuple(out)
+def _random_blocks(rng: random.Random, n: int, p: int) -> np.ndarray:
+  """(n, p, p) int64 stack of entries r/q (r in -3..3, q in 1..4, drawn in
+  that order per entry) as numerators over the common denominator 12."""
+  return np.array([rng.randint(-3, 3) * (12 // rng.choice((1, 2, 3, 4)))
+                   for _ in range(n * p * p)], dtype=np.int64).reshape(n, p, p)
 
 
 def sandwich_suite(n: int, p: int, trials: int, seed: int) -> SandwichSuiteReport:
@@ -201,6 +210,12 @@ def sandwich_suite(n: int, p: int, trials: int, seed: int) -> SandwichSuiteRepor
   component formula matches the embedded bracket, and the coboundary
   identity holds -- all exactly.  The work grows as trials * (n*p)^3, which
   is checked against MAX_SANDWICH_WORK before any trial runs.
+
+  The blocks are drawn cleared to int64 numerators over 12; each identity
+  is homogeneous of degree 3 in (x, a, y), so the scaling keeps every
+  verdict.  The arithmetic is exact: every entry has |entry| <= 36, each
+  side is a sum of at most 12 triple products, and the cap gives
+  n*p <= 43, so every partial sum stays below 12 * 43^2 * 36^3 < 2^31.
   """
   if n < 1 or p < 1:
     raise ValueError("need n >= 1 and p >= 1")
@@ -213,19 +228,12 @@ def sandwich_suite(n: int, p: int, trials: int, seed: int) -> SandwichSuiteRepor
   rng = random.Random(seed)
   closure = component = coboundary = 0
   for _ in range(trials):
-    x = _random_blocks(rng, n, p)
-    a = _random_blocks(rng, n, p)
-    y = _random_blocks(rng, n, p)
-    try:
-      sandwich_product(x, a, y)
+    x, a, y = (_random_blocks(rng, n, p) for _ in range(3))
+    if has_circulant_pattern(_embed(x) @ _embed(a) @ _embed(y), n, p):
       closure += 1
-    except InternalCheckError:
-      pass
-    lhs = component_bracket(x, a, y)
-    rhs = bracket_sandwich(x, a, y)
-    if all(mats_equal(l, r) for l, r in zip(lhs, rhs)):
+    if mats_equal(_component(x, a, y), _bracket(x, a, y)):
       component += 1
-    if coboundary_identity_check(a, x, y):
+    if _coboundary_holds(a, x, y):
       coboundary += 1
   return SandwichSuiteReport(n=n, p=p, trials=trials, seed=seed,
                              closure_ok=closure, component_ok=component,

@@ -133,37 +133,49 @@ def _constants_of(t) -> StructureConstants:
   raise ValueError(f"expected PoissonTensor or StructureConstants, got {t!r}")
 
 
+def _partials(f: PolyFunction) -> dict[int, Terms]:
+  """{a: terms of df/dxi_a} over the coordinates f depends on."""
+  support = {a for exps in f.terms for a, k in enumerate(exps) if k}
+  return {a: poly_diff(f, a).terms for a in sorted(support)}
+
+
 def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-  """{f, g} = sum over a < b of c_ab^e xi_e (f_a g_b - f_b g_a)."""
+  """{f, g} = sum of c_ab^e xi_e f_a g_b over a != b in the derivative
+  supports of f and g (c_ba = -c_ab), not over the whole table."""
   c = _constants_of(t)
-  d = c.dim
-  if f.dim != d or g.dim != d:
+  if f.dim != c.dim or g.dim != c.dim:
     raise ValueError("polynomials do not match the algebra dimension")
-  df = [poly_diff(f, a) for a in range(d)]
-  dg = [poly_diff(g, a) for a in range(d)]
-  out = poly_zero(d)
-  for (a, b), coeffs in c.table.items():
-    wedge = poly_add(poly_mul(df[a], dg[b]),
-                     poly_scale(poly_mul(df[b], dg[a]), -1))
-    if is_zero_poly(wedge):
-      continue
-    for e, v in coeffs.items():
-      term = poly_mul(coordinate_poly(d, e), wedge)
-      out = poly_add(out, poly_scale(term, v))
-  return out
+  dg = _partials(g)
+  terms: Terms = {}
+  for a, fa in _partials(f).items():
+    for b, gb in dg.items():
+      sign = 1 if a < b else -1
+      coeffs = c.table.get((min(a, b), max(a, b))) if a != b else None
+      if not coeffs:
+        continue
+      for e1, v1 in fa.items():
+        for e2, v2 in gb.items():
+          base = tuple(x + y for x, y in zip(e1, e2))
+          w = sign * v1 * v2
+          for e, v in coeffs.items():
+            key = base[:e] + (base[e] + 1,) + base[e + 1:]
+            terms[key] = terms.get(key, 0) + v * w
+  return PolyFunction(dim=c.dim, terms={k: v for k, v in terms.items() if v})
 
 
 def _polynomial_jacobi(c: StructureConstants) -> JacobiReport:
   """{{xi_a, xi_b}, xi_c} + cyclic for all a < b < c, first nonzero one."""
   d = c.dim
   xi = [coordinate_poly(d, a) for a in range(d)]
+  inner = {(a, b): lie_poisson_bracket(c, xi[a], xi[b])
+           for a in range(d) for b in range(a + 1, d)}
   for a in range(d):
     for b in range(a + 1, d):
       for cc in range(b + 1, d):
-        total = poly_zero(d)
-        for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
-          inner = lie_poisson_bracket(c, xi[x], xi[y])
-          total = poly_add(total, lie_poisson_bracket(c, inner, xi[z]))
+        # {{xi_c, xi_a}, xi_b} = {xi_b, {xi_a, xi_c}} by antisymmetry
+        total = poly_add(poly_add(lie_poisson_bracket(c, inner[a, b], xi[cc]),
+                                  lie_poisson_bracket(c, inner[b, cc], xi[a])),
+                         lie_poisson_bracket(c, xi[b], inner[a, cc]))
         if not is_zero_poly(total):
           # the residual polynomial is linear; the monomial with the
           # lex-largest exponent tuple carries the smallest coordinate index

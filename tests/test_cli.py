@@ -387,6 +387,15 @@ def test_sandwich_check_is_bounded_before_work():
                  "--trials", "21") == (2, "")
 
 
+def test_sandwich_check_at_the_work_cap_is_fast():
+  # both sit just inside MAX_SANDWICH_WORK; on Fraction objects each took
+  # about 9 s.  Exit 0 means every trial passed all three identities.
+  assert run_cli_bounded("sandwich-check", "--n", "1", "--p", "43",
+                         "--trials", "1") == 0
+  assert run_cli_bounded("sandwich-check", "--n", "4", "--p", "4",
+                         "--trials", "20") == 0
+
+
 def test_sandwich_check_seed_determinism():
   a = run_cli("sandwich-check", "--n", "3", "--p", "2", "--trials", "4",
               "--seed", "7")

@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebundle import (InternalCheckError, beta_map, bracket_sandwich,
+from liebundle import (InternalCheckError, SandwichSuiteReport, beta_map,
+                       bracket_sandwich,
                        builtin_algebra, circulant_w, coboundary_identity_check,
                        component_bracket, embed_circulant, extension_bracket,
                        extract_blocks, has_circulant_pattern, sandwich_product,
                        sandwich_suite, so_sym_bundle, sum_bracket_table,
                        validate_structure_constants)
+from liebundle import matrix_bundle
 from liebundle.linalg import frac_matrix, identity_matrix, mats_equal, zeros_matrix
 
 F = Fraction
@@ -274,3 +276,122 @@ def test_sandwich_suite_validates_arguments():
     sandwich_suite(0, 2, trials=1, seed=0)
   with pytest.raises(ValueError):
     sandwich_suite(2, 2, trials=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the suite: per-entry draws, the n^2 block loop, the
+# (s, k) double loop and beta with its factor 1/2, all on Fraction objects.
+
+
+def oracle_draws(rng, n, p):
+  out = []
+  for _ in range(n):
+    mat = np.empty((p, p), dtype=object)
+    for r in range(p):
+      for s in range(p):
+        mat[r, s] = F(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+    out.append(mat)
+  return tuple(out)
+
+
+def oracle_embed(blocks):
+  n, p = len(blocks), blocks[0].shape[0]
+  out = np.empty((n * p, n * p), dtype=object)
+  for i in range(n):
+    for j in range(n):
+      out[i * p:(i + 1) * p, j * p:(j + 1) * p] = blocks[(i + j) % n]
+  return out
+
+
+def oracle_row(mat, n, p):
+  return [mat[0:p, j * p:(j + 1) * p] for j in range(n)]
+
+
+def oracle_component(x, a, y):
+  n, p = len(x), x[0].shape[0]
+  out = []
+  for i in range(n):
+    acc = zeros_matrix(p, p)
+    for s in range(n):
+      for k in range(n):
+        am = a[(s + k - i) % n]
+        acc = acc + x[s].dot(am).dot(y[k]) - y[k].dot(am).dot(x[s])
+    out.append(acc)
+  return out
+
+
+def oracle_beta(ba, mat):
+  return (ba.dot(mat) + mat.dot(ba)) * F(1, 2)
+
+
+def oracle_coboundary(ba, bx, by):
+  def comm(m1, m2):
+    return m1.dot(m2) - m2.dot(m1)
+  lhs = bx.dot(ba).dot(by) - by.dot(ba).dot(bx)
+  rhs = (comm(bx, oracle_beta(ba, by)) - comm(by, oracle_beta(ba, bx)) -
+         oracle_beta(ba, comm(bx, by)))
+  return mats_equal(lhs, rhs)
+
+
+def sandwich_oracle(n, p, trials, seed):
+  rng = random.Random(seed)
+  closure = component = coboundary = 0
+  for _ in range(trials):
+    x, a, y = (oracle_draws(rng, n, p) for _ in range(3))
+    bx, ba, by = oracle_embed(x), oracle_embed(a), oracle_embed(y)
+    prod = bx.dot(ba).dot(by)
+    if mats_equal(prod, oracle_embed(oracle_row(prod, n, p))):
+      closure += 1
+    big = prod - by.dot(ba).dot(bx)
+    if all(mats_equal(u, v) for u, v in
+           zip(oracle_component(x, a, y), oracle_row(big, n, p))):
+      component += 1
+    if oracle_coboundary(ba, bx, by):
+      coboundary += 1
+  return SandwichSuiteReport(n=n, p=p, trials=trials, seed=seed,
+                             closure_ok=closure, component_ok=component,
+                             coboundary_ok=coboundary)
+
+
+def test_sandwich_suite_matches_the_fraction_oracle():
+  # n >= 3 included: there A X alone leaves the block pattern
+  for n, p, trials in ((1, 1, 3), (1, 4, 2), (2, 2, 4), (3, 2, 3), (2, 3, 2),
+                       (3, 3, 1), (4, 2, 2), (5, 1, 3)):
+    for seed in (0, 1, 977):
+      assert sandwich_suite(n, p, trials, seed) == sandwich_oracle(
+          n, p, trials, seed)
+
+
+def test_int64_draws_are_the_fraction_draws_over_12():
+  # a given seed draws the same inputs as the Fraction suite did
+  for n, p, seed in ((1, 1, 0), (2, 3, 5), (4, 4, 123456), (43, 1, 9)):
+    ints, fracs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+      got = matrix_bundle._random_blocks(ints, n, p)
+      assert got.dtype == np.int64 and got.shape == (n, p, p)
+      want = oracle_draws(fracs, n, p)
+      assert all(mats_equal(g.astype(object) * F(1, 12), w)
+                 for g, w in zip(got, want))
+    assert ints.random() == fracs.random()
+
+
+def test_public_functions_on_sevenths_match_the_oracle():
+  # denominators 7 do not divide 12: the public functions compute on
+  # Fraction objects and return them
+  rng = random.Random(71)
+  for n, p in ((1, 2), (2, 2), (3, 2), (4, 1)):
+    x, a, y = (rand_blocks(rng, n, p) for _ in range(3))
+    x[0][0, 0] = F(1, 7)
+    a[-1][p - 1, 0] = F(-3, 7)
+    bx, ba, by = oracle_embed(x), oracle_embed(a), oracle_embed(y)
+    assert mats_equal(embed_circulant(x), bx)
+    big = bx.dot(ba).dot(by) - by.dot(ba).dot(bx)
+    for got, want in ((sandwich_product(x, a, y),
+                       oracle_row(bx.dot(ba).dot(by), n, p)),
+                      (bracket_sandwich(x, a, y), oracle_row(big, n, p)),
+                      (component_bracket(x, a, y), oracle_component(x, a, y)),
+                      (beta_map(a, x), oracle_row(oracle_beta(ba, bx), n, p))):
+      assert len(got) == n
+      assert all(g.dtype == object and mats_equal(g, w)
+                 for g, w in zip(got, want))
+    assert coboundary_identity_check(a, x, y)

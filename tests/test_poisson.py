@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebundle import (builtin_algebra, casimir_linear_basis, coordinate_poly,
+from liebundle import (JacobiReport, builtin_algebra, casimir_linear_basis,
+                       coordinate_poly,
                        induced_structure_constants, invalid_witness_w,
                        involution_check, lie_poisson_bracket,
                        make_poisson_tensor, make_poly,
                        make_structure_constants, pencil_bracket,
                        poisson_jacobi_check, poly_add, poly_diff,
                        poly_from_json, poly_mul, poly_scale, poly_to_json,
-                       poly_to_text, sum_bracket_table,
+                       poly_to_text, so_sym_bundle, sum_bracket_table,
                        validate_structure_constants)
 from liebundle.poisson import is_zero_poly, poly_zero
 
@@ -107,6 +108,90 @@ def test_coordinate_brackets_reproduce_structure_constants():
         if a == b:
           expected = poly_zero(c.dim)
         assert got.terms == expected.terms
+
+
+# The bracket as a loop over every table pair on whole polynomials: the
+# reference for the support loop in lie_poisson_bracket.
+def bracket_oracle(c, f, g):
+  d = c.dim
+  df = [poly_diff(f, a) for a in range(d)]
+  dg = [poly_diff(g, a) for a in range(d)]
+  out = poly_zero(d)
+  for (a, b), coeffs in c.table.items():
+    wedge = poly_add(poly_mul(df[a], dg[b]),
+                     poly_scale(poly_mul(df[b], dg[a]), -1))
+    if is_zero_poly(wedge):
+      continue
+    for e, v in coeffs.items():
+      term = poly_mul(coordinate_poly(d, e), wedge)
+      out = poly_add(out, poly_scale(term, v))
+  return out
+
+
+def jacobi_oracle(c):
+  d = c.dim
+  xi = [coordinate_poly(d, a) for a in range(d)]
+  for a in range(d):
+    for b in range(a + 1, d):
+      for cc in range(b + 1, d):
+        total = poly_zero(d)
+        for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
+          inner = bracket_oracle(c, xi[x], xi[y])
+          total = poly_add(total, bracket_oracle(c, inner, xi[z]))
+        if not is_zero_poly(total):
+          exps, value = max(total.terms.items())
+          return JacobiReport(ok=False, violation=(a, b, cc, exps.index(1)),
+                              residual=value)
+  return JacobiReport(ok=True)
+
+
+def random_poly(rng, dim):
+  # degree <= 3, fractional coefficients; constants and zero included
+  terms = {}
+  for _ in range(rng.choice((0, 1, 2, 4))):
+    exps = [0] * dim
+    for _ in range(rng.randint(0, 3)):
+      exps[rng.randrange(dim)] += 1
+    terms[tuple(exps)] = F(rng.randint(-4, 4), rng.randint(1, 5))
+  return make_poly(dim, terms)
+
+
+def test_bracket_matches_the_table_loop_oracle():
+  rng = random.Random(61)
+  algebras = [builtin_algebra(name) for name in (
+      "heisenberg3", "sl2", "so3", "abelian(1)", "abelian(4)", "abelian(10)",
+      "so(2)", "so(3)", "so(4)", "so(5)", "gl(2)", "gl(3)")]
+  for p in (3, 4):
+    for _ in range(2):
+      a = [[0] * p for _ in range(p)]
+      for r in range(p):
+        for s in range(r, p):
+          a[r][s] = a[s][r] = F(rng.randint(-3, 3), rng.randint(1, 3))
+      algebras.append(so_sym_bundle(p, a))
+  for c in algebras:
+    assert c.dim <= 10
+    cases = [(random_poly(rng, c.dim), random_poly(rng, c.dim))
+             for _ in range(25)]
+    cases += [(poly_zero(c.dim), random_poly(rng, c.dim)),
+              (make_poly(c.dim, {(0,) * c.dim: "-2/3"}),
+               random_poly(rng, c.dim))]
+    for f, g in cases:
+      assert lie_poisson_bracket(c, f, g).terms == bracket_oracle(c, f, g).terms
+      assert lie_poisson_bracket(c, g, f).terms == bracket_oracle(c, g, f).terms
+
+
+def test_jacobi_check_matches_the_oracle_on_failing_tables():
+  rng = random.Random(67)
+  failing = 0
+  for _ in range(30):
+    d = rng.randint(3, 5)
+    table = {(a, b): {rng.randrange(d): F(rng.randint(-3, 3), rng.randint(1, 3))}
+             for a in range(d) for b in range(a + 1, d) if rng.random() < 0.5}
+    c = make_structure_constants(d, table)
+    expected = jacobi_oracle(c)
+    assert poisson_jacobi_check(c) == expected
+    failing += not expected.ok
+  assert failing >= 10
 
 
 # ---------------------------------------------------------------------------
