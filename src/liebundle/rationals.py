@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-_RATIONAL_RE = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -24,13 +25,13 @@ def parse_rational(text: str) -> Fraction:
   """
   if not isinstance(text, str):
     raise ValueError(f"rational must be a string, got {type(text).__name__}")
-  m = _RATIONAL_RE.match(text)
+  m = _RATIONAL_RE.fullmatch(text)
   if m is None:
     raise ValueError(f"not a canonical rational: {text!r}")
-  value = Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
-  if format_rational(value) != text:
+  p, q = int(m.group(1)), int(m.group(2) or 1)
+  if m.group(2) and (q == 1 or gcd(p, q) != 1):
     raise ValueError(f"not in lowest terms / canonical form: {text!r}")
-  return value
+  return Fraction(p, q)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -109,12 +109,10 @@ def transform_w(w: WTensor) -> np.ndarray:
 
   Necessarily float-valued; exact statements stay with the rational slices.
   """
-  n = w.n
-  dense = np.zeros((n, n, n), dtype=np.complex128)
-  for (p, q, s), v in w.entries.items():
-    dense[p, q, s] = float(v)
-  om = dft_matrix(n)
-  om_inv = dft_inverse(n)
+  # Python's int / int is correctly rounded, as float(Fraction) is
+  dense = (w.dense.astype(object) / w.scale).astype(np.complex128)
+  om = dft_matrix(w.n)
+  om_inv = dft_inverse(w.n)
   return np.einsum("pqs,ip,jq,ks->ijk", dense, om, om, om_inv, optimize=True)
 
 

@@ -1,8 +1,8 @@
 """Universal bracket tensors on n-fold sums of a Lie algebra.
 
 A tensor W assigns to x = (x_0..x_{n-1}), y = (y_0..y_{n-1}) in G^n the
-bracket ([x, y]_W)_s = sum_{i,j} W^{ij}_s [x_i, y_j].  Entries are stored
-sparsely as ``entries[(i, j, s)] = W^{ij}_s`` (upper, upper, lower index).
+bracket ([x, y]_W)_s = sum_{i,j} W^{ij}_s [x_i, y_j], stored as integers
+``dense[i, j, s]`` (upper, upper, lower index) over a common ``scale``.
 W defines a Lie bracket for every Lie algebra G iff W is symmetric in the
 upper indices and the quadratic identity
 
@@ -25,7 +25,7 @@ import numpy as np
 from .algebra_core import (MAX_DIM, JacobiReport, StructureConstants,
                            bracket_eval, make_structure_constants)
 from .errors import InternalCheckError, SizeCapError
-from .linalg import identity_matrix, is_nilpotent, mats_equal, zeros_matrix
+from .linalg import frac_matrix, identity_matrix, is_nilpotent, mats_equal
 from .rationals import as_fraction, format_rational
 
 MAX_N = 64
@@ -34,10 +34,36 @@ DEFAULT_CAP = 64
 Entries = dict[tuple[int, int, int], Fraction]
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class WTensor:
+  """W^{ij}_s = dense[i, j, s] / scale: integer numerators over the lcm of
+  the entries' denominators, so the form is canonical and equality is exact.
+  ``dense`` is int64 when every numerator fits, else object; read-only."""
   n: int
-  entries: Entries
+  dense: np.ndarray
+  scale: int
+
+  def __post_init__(self):
+    self.dense.flags.writeable = False
+
+  def __eq__(self, other) -> bool:  # and so unhashable; n is dense's shape
+    return (isinstance(other, WTensor) and self.scale == other.scale
+            and np.array_equal(self.dense, other.dense))
+
+  @cached_property
+  def entries(self) -> Entries:
+    """The nonzero entries {(i, j, s): W^{ij}_s}, one Fraction per distinct
+    value, in C order (or in the order given to ``make_wtensor``)."""
+    where = np.nonzero(self.dense)
+    nums = self.dense[where].tolist()
+    value = {x: Fraction(x, self.scale) for x in set(nums)}
+    keys = zip(*(a.tolist() for a in where))
+    return dict(zip(keys, map(value.__getitem__, nums)))
+
+  @cached_property
+  def max_abs(self) -> int:
+    """The largest absolute numerator."""
+    return int(np.abs(self.dense).max())
 
   @cached_property
   def _pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
@@ -66,18 +92,52 @@ def _check_n(n) -> None:
     raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
 
 
-def make_wtensor(n: int, entries) -> WTensor:
+def _numerators(values) -> tuple[np.ndarray, int]:
+  """Numerators of the Fractions ``values`` over the lcm of their
+  denominators (int64 when every one fits, else object), and that lcm."""
+  scale = lcm(*(v.denominator for v in values))
+  nums = [v.numerator * (scale // v.denominator) for v in values]
+  fits = all(-2**63 < x < 2**63 for x in nums)
+  return np.array(nums, dtype=np.int64 if fits else object), scale
+
+
+def _assemble(n: int, codes: dict, values: list[Fraction]) -> WTensor:
+  """W with W^{ij}_s = values[codes[(i, j, s)]], zero elsewhere."""
   _check_n(n)
-  table: Entries = {}
-  for key, value in entries.items():
+  flat = []
+  for key in codes:
     i, j, s = key
-    for idx in (i, j, s):
-      if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < n:
-        raise ValueError(f"index {key!r} out of range for n={n}")
-    v = as_fraction(value)
-    if v != 0:
-      table[(i, j, s)] = v
-  return WTensor(n=n, entries=table)
+    if not (type(i) is type(j) is type(s) is int
+            and 0 <= i < n and 0 <= j < n and 0 <= s < n):
+      raise ValueError(f"index {key!r} out of range for n={n}")
+    flat.append((i * n + j) * n + s)
+  nums, scale = _numerators(values)
+  dense = np.zeros(n**3, dtype=nums.dtype)
+  dense[flat] = nums[list(codes.values())]
+  return WTensor(n, dense.reshape(n, n, n), scale)
+
+
+def _code(value, parsed: dict, distinct: dict[Fraction, int]) -> int:
+  """Code of ``value`` in ``distinct`` (Fraction -> code, zero coded 0),
+  coerced once per distinct value as written (``parsed``).  Only the exact
+  types are looked up: a bool or a float equals an int but is refused, and a
+  list or a dict cannot be a key."""
+  code = parsed.get(value) if type(value) in (int, str, Fraction) else None
+  if code is None:
+    code = distinct.setdefault(as_fraction(value), len(distinct))
+    parsed[value] = code
+  return code
+
+
+def make_wtensor(n: int, entries) -> WTensor:
+  """W from {(i, j, s): value}; zero values are dropped."""
+  _check_n(n)
+  parsed, distinct = {}, {Fraction(0): 0}
+  codes = {key: _code(v, parsed, distinct) for key, v in entries.items()}
+  values = list(distinct)
+  w = _assemble(n, codes, values)
+  w.__dict__["entries"] = {key: values[c] for key, c in codes.items() if c}
+  return w
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +147,8 @@ def make_wtensor(n: int, entries) -> WTensor:
 def direct_sum_w(n: int) -> WTensor:
   """Componentwise bracket: W^{ii}_i = 1."""
   _check_n(n)
-  return make_wtensor(n, {(i, i, i): 1 for i in range(n)})
+  eye = np.eye(n, dtype=np.int64)
+  return WTensor(n, eye[:, :, None] * eye, 1)
 
 
 def circulant_w(alpha) -> WTensor:
@@ -95,24 +156,14 @@ def circulant_w(alpha) -> WTensor:
   alpha = tuple(as_fraction(v) for v in alpha)
   n = len(alpha)
   _check_n(n)
-  entries = {}
-  for s in range(n):
-    for k in range(n):
-      for i in range(n):
-        v = alpha[(s + k - i) % n]
-        if v != 0:
-          entries[(s, k, i)] = v
-  return make_wtensor(n, entries)
+  nums, scale = _numerators(alpha)
+  r = np.arange(n)
+  return WTensor(n, nums[(r[:, None, None] + r[:, None] - r) % n], scale)
 
 
 def leibnitz_w(n: int) -> WTensor:
   """Index-additive bracket without wrap-around: W^{ij}_{i+j} = 1, i+j < n."""
-  _check_n(n)
-  entries = {}
-  for i in range(n):
-    for j in range(n - i):
-      entries[(i, j, i + j)] = 1
-  return make_wtensor(n, entries)
+  return leibnitz_deform(n, 0)
 
 
 def leibnitz_deform(n: int, lam) -> WTensor:
@@ -122,14 +173,12 @@ def leibnitz_deform(n: int, lam) -> WTensor:
   """
   _check_n(n)
   lam = as_fraction(lam)
-  entries = {}
-  for i in range(n):
-    for j in range(n):
-      if i + j < n:
-        entries[(i, j, i + j)] = Fraction(1)
-      elif lam != 0:
-        entries[(i, j, i + j - n)] = lam
-  return make_wtensor(n, entries)
+  # lam is an entry (at i = j = n - 1), and so in the scale, only when n > 1
+  nums, scale = _numerators([Fraction(1), lam] if n > 1 else [Fraction(1)])
+  i, j = np.indices((n, n))
+  dense = np.zeros((n, n, n), dtype=nums.dtype)
+  dense[i, j, (i + j) % n] = nums[(i + j >= n).astype(np.intp)]
+  return WTensor(n, dense, scale)
 
 
 def invalid_witness_w() -> WTensor:
@@ -150,11 +199,8 @@ def slice_matrix(w: WTensor, k: int) -> np.ndarray:
   """Exact slice (W^(k))_i^j = W^{kj}_i as an n x n rational matrix."""
   if not 0 <= k < w.n:
     raise ValueError(f"slice index {k} out of range for n={w.n}")
-  out = zeros_matrix(w.n, w.n)
-  for (i, j, s), v in w.entries.items():
-    if i == k:
-      out[s, j] = v
-  return out
+  return frac_matrix([[Fraction(x, w.scale) for x in row]
+                      for row in w.dense[k].T.tolist()])
 
 
 # later slices per batched commutator product: the working set of a block is
@@ -168,20 +214,6 @@ def _symmetry_violation(dense: np.ndarray):
   copy, or None."""
   hits = np.argwhere(dense != dense.transpose(1, 0, 2))
   return tuple(int(x) for x in hits[0]) if len(hits) else None
-
-
-def _cleared(values: dict, shape: tuple) -> tuple[np.ndarray, int, int]:
-  """Dense object array of the Fraction ``values`` (keyed by index tuples)
-  times the lcm of their denominators; returns it, that scale and the
-  largest absolute entry."""
-  scale = lcm(*(v.denominator for v in values.values()))
-  out = np.zeros(shape, dtype=object)
-  max_abs = 0
-  for key, v in values.items():
-    x = out[key] = v.numerator * (scale // v.denominator)
-    if abs(x) > max_abs:
-      max_abs = abs(x)
-  return out, scale, max_abs
 
 
 def _exact_dtype(n: int, max_abs: int):
@@ -247,21 +279,20 @@ def _validate_direct(dense: np.ndarray, scale: int) -> WValidationReport:
 def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport:
   """Decide whether W defines a Lie bracket for every Lie algebra G.
 
-  W is cleared of denominators once, into a dense copy on which both
-  identities are checked -- the quadratic identity is homogeneous, so
-  scaling cannot change the verdict.  Default route: symmetry scan plus
-  pairwise commutation of the slice matrices.  With ``cross_check=True`` the
-  direct contraction of the quadratic identity runs as well and any
-  disagreement (verdict, indices or residual) raises InternalCheckError.
+  Both identities are checked on W's cleared numerators ``w.dense`` -- the
+  quadratic identity is homogeneous, so scaling cannot change the verdict.
+  Default route: symmetry scan plus pairwise commutation of the slice
+  matrices.  With ``cross_check=True`` the direct contraction of the
+  quadratic identity runs as well and any disagreement (verdict, indices or
+  residual) raises InternalCheckError.
 
   When both identities fail, the symmetry violation is reported; quadratic
   violations carry the lexicographically first (i, s, q, p) with s < q (if
   (i, s, q, p) with s > q violates, the sign-flipped (i, q, s, p) violates
   too and precedes it, so nothing is missed).
   """
-  n = w.n
-  dense, scale, max_abs = _cleared(w.entries, (n, n, n))
-  dense = dense.astype(_exact_dtype(n, max_abs))
+  n, scale = w.n, w.scale
+  dense = w.dense.astype(_exact_dtype(n, w.max_abs))
   sym = _symmetry_violation(dense)
   if sym is not None:
     i, j, s = sym
@@ -295,10 +326,10 @@ def truncate_to_solvable(w: WTensor) -> WTensor:
   if not report.ok:
     raise ValueError(f"cannot truncate an invalid tensor ({report.failure} "
                      f"violation at {report.indices})")
-  entries = {(i - 1, j - 1, s - 1): v
-             for (i, j, s), v in w.entries.items()
-             if i >= 1 and j >= 1 and s >= 1}
-  return WTensor(n=w.n - 1, entries=entries)
+  # re-cleared: the numerators left may share a factor with the scale
+  distinct, codes = np.unique(w.dense[1:, 1:, 1:], return_inverse=True)
+  nums, scale = _numerators([Fraction(x, w.scale) for x in distinct.tolist()])
+  return WTensor(w.n - 1, nums[codes].reshape((w.n - 1,) * 3), scale)
 
 
 def filtration_support_check(w: WTensor) -> bool:
@@ -427,6 +458,7 @@ def _certify_factorised(wd: np.ndarray, cd: np.ndarray,
   n, d = wd.shape[0], cd.shape[0]
   nd = n * d
   later = np.triu(np.ones((nd, nd), dtype=bool), 1)  # later[v, t]: t > v
+  d_parts: dict[int, tuple] = {}  # a -> its D parts, kept for blocks i > 0
   for i in range(n):
     # A[i, j, k, t], A[j, k, i, t] and A[i, k, j, t], each at [j, k, t]
     a1 = _contract(wd[i], wd)
@@ -435,8 +467,9 @@ def _certify_factorised(wd: np.ndarray, cd: np.ndarray,
     for a in range(d):
       u = i * d + a
       # D[a, b, c, f], D[b, c, a, f] and D[a, c, b, f], each at [b, c, f]
-      d1 = _contract(cd[a], cd)
-      d2 = _contract(cd, cd[:, a])
+      if a not in d_parts:
+        d_parts[a] = _contract(cd[a], cd), _contract(cd, cd[:, a])
+      d1, d2 = d_parts.pop(a) if n == 1 else d_parts[a]
       d3 = d1.transpose(1, 0, 2)
       r = _outer(a1, d1) + _outer(a2, d2) - _outer(a3, d3)
       hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
@@ -489,8 +522,8 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   report is cross-checked against the Jacobiator of that table
   (``_certify_induced``): any difference raises InternalCheckError.  An
   asymmetric W has no such table (the induced one stores u < v only), so
-  its report comes from the factorised route.  Both routes read one cleared
-  copy of W and one of G.
+  its report comes from the factorised route.  Both routes read W's cleared
+  numerators and one cleared copy of G.
   """
   n, d = w.n, c.dim
   _check_extension_dim(n * d, cap)
@@ -499,16 +532,15 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
     for e, v in coeffs.items():
       structure[(a, b, e)] = v
       structure[(b, a, e)] = -v
-  wd, w_scale, w_max = _cleared(w.entries, (n,) * 3)
-  cd, c_scale, c_max = _cleared(structure, (d,) * 3)
+  g = make_wtensor(d, structure)  # c_ab^e, cleared as W is
   # a partial sum in either route adds at most 3*n*d products of two table
   # entries W^{ij}_s c_ab^e; max(., 1) bounds each factor's own entries too
-  bound = 3 * n * d * (max(w_max, 1) * max(c_max, 1))**2
+  bound = 3 * n * d * (max(w.max_abs, 1) * max(g.max_abs, 1))**2
   dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
-  wd, cd = wd.astype(dtype), cd.astype(dtype)
-  report = _certify_factorised(wd, cd, w_scale * c_scale)
+  wd, cd = w.dense.astype(dtype), g.dense.astype(dtype)
+  report = _certify_factorised(wd, cd, w.scale * g.scale)
   if _symmetry_violation(wd) is None:
-    table = _certify_induced(wd, cd, w_scale * c_scale)
+    table = _certify_induced(wd, cd, w.scale * g.scale)
     if report != table:
       raise InternalCheckError(
           f"certify routes disagree: factorised={report!r} table={table!r}")
@@ -545,27 +577,26 @@ def wtensor_from_json(data) -> WTensor:
     raise ValueError("n must be an integer")
   if not isinstance(data["entries"], list):
     raise ValueError("entries must be a list")
-  entries: Entries = {}
+  parsed, distinct, codes = {}, {Fraction(0): 0}, {}
   for item in data["entries"]:
-    if not isinstance(item, dict) or set(item) != {"i", "j", "k", "value"}:
+    if not isinstance(item, dict) or item.keys() != {"i", "j", "k", "value"}:
       raise ValueError("each entry needs exactly fields i, j, k, value")
-    key = []
-    for field in ("i", "j", "k"):
-      idx = item[field]
-      if not isinstance(idx, int) or isinstance(idx, bool):
-        raise ValueError(f"entry field {field} must be an integer")
-      key.append(idx)
-    key = tuple(key)
-    v = as_fraction(item["value"])
-    if v == 0:
+    key = i, j, s = item["i"], item["j"], item["k"]
+    if not type(i) is type(j) is type(s) is int:
+      for field, idx in zip("ijk", key):
+        if not isinstance(idx, int) or isinstance(idx, bool):
+          raise ValueError(f"entry field {field} must be an integer")
+    code = _code(item["value"], parsed, distinct)
+    if code == 0:
       raise ValueError("zero entries are not stored in canonical files")
-    if key in entries:
+    if key in codes:
       raise ValueError(f"duplicate entry for indices {key}")
-    entries[key] = v
-  for (i, j, s), v in entries.items():
-    mirror = entries.get((j, i, s))
-    if mirror is not None and mirror != v:
+    codes[key] = code
+  values = list(distinct)
+  for (i, j, s), code in codes.items():
+    mirror = codes.get((j, i, s), code)
+    if mirror != code:
+      a, b = (format_rational(values[x]) for x in (code, mirror))
       raise ValueError(
-          f"contradictory mirrored entries at ({i}, {j}, {s}): "
-          f"{format_rational(v)} vs {format_rational(mirror)}")
-  return make_wtensor(n, entries)
+          f"contradictory mirrored entries at ({i}, {j}, {s}): {a} vs {b}")
+  return _assemble(n, codes, values)

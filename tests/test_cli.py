@@ -167,6 +167,12 @@ def test_cross_check_is_bounded_at_the_size_cap(workdir):
   dense = write("circ16.json", wtensor_to_json(circulant_w(range(1, 17))))
   assert run_cli_bounded("certify", "--input", dense, "--algebra", "gl(2)",
                          seconds=20) == 0
+  # a dense n = 64 file (262,144 entries): the loader parsed every value
+  # twice and formatted it back, about 3.5 s in all
+  tmp_path, _ = workdir
+  alpha = ",".join(("1", "-2/3", "0", "5/4")[r % 4] for r in range(64))
+  circ64 = make_file(tmp_path, "make-w", "circulant", "--alpha", alpha)
+  assert run_cli_bounded("validate-w", "--input", circ64, seconds=20) == 0
 
 
 def test_validate_w_asymmetric_file_is_a_validation_failure(workdir):
@@ -188,6 +194,31 @@ def test_validate_w_contradictory_mirror_is_a_parse_error(workdir):
                           {"i": 1, "j": 0, "k": 0, "value": "2"}]})
   code, _ = run_cli("validate-w", "--input", path)
   assert code == 2
+
+
+def _entry(i, j, k, value):
+  return {"i": i, "j": j, "k": k, "value": value}
+
+
+@pytest.mark.parametrize("entries,stderr", [
+    # unhashable values, which the loader fuzz below never draws
+    ([_entry(0, 0, 0, [1])],
+     "error: cannot interpret [1] as an exact rational\n"),
+    ([_entry(0, 0, 0, {"p": 1})],
+     "error: cannot interpret {'p': 1} as an exact rational\n"),
+    ([_entry(True, 0, 0, "1")], "error: entry field i must be an integer\n"),
+    ([_entry(0, 0, 0, "3/1")],
+     "error: not in lowest terms / canonical form: '3/1'\n"),
+    ([_entry(0, 1, 0, "1"), _entry(0, 1, 0, "1")],
+     "error: duplicate entry for indices (0, 1, 0)\n"),
+    ([_entry(0, 1, 0, "1/2"), _entry(1, 0, 0, "-1/2")],
+     "error: contradictory mirrored entries at (0, 1, 0): 1/2 vs -1/2\n"),
+])
+def test_validate_w_strict_loader_messages(workdir, capsys, entries, stderr):
+  _, write = workdir
+  path = write("bad.json", {"n": 2, "entries": entries})
+  assert run_cli("validate-w", "--input", path) == (2, "")
+  assert capsys.readouterr().err == stderr
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ def test_parse_canonical(text, value):
     "1.5",
     "a",
     "1/0",
+    "1\n",       # a trailing newline, which a "$" anchor lets through
+    "1/2\n",
+    "-1/1",       # explicit denominator 1 on a negative integer
 ])
 def test_parse_rejects_non_canonical(text):
   with pytest.raises(ValueError):

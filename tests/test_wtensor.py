@@ -625,6 +625,65 @@ def test_valid_tensors_certify_over_every_algebra():
         ok=False, violation=violation, residual=F(residual))
 
 
+def family_oracle(family, n, param=None):
+  """A family's entries by per-entry loops, the way the builders first made
+  them; ``param`` is alpha (circulant) or lambda (leibnitz-deform)."""
+  entries = {}
+  if family == "direct-sum":
+    entries = {(i, i, i): F(1) for i in range(n)}
+  elif family == "circulant":
+    for s in range(n):
+      for k in range(n):
+        for i in range(n):
+          v = param[(s + k - i) % n]
+          if v != 0:
+            entries[(s, k, i)] = v
+  else:  # leibnitz, leibnitz-deform
+    for i in range(n):
+      for j in range(n):
+        if i + j < n:
+          entries[(i, j, i + j)] = F(1)
+        elif family == "leibnitz-deform" and param != 0:
+          entries[(i, j, i + j - n)] = param
+  return entries
+
+
+def test_builders_match_the_per_entry_loops():
+  rng = random.Random(70)
+  big = F(2**70)  # a numerator beyond int64: the dense copy is object
+  for n in (1, 2, 3, 7, 16, 64):
+    pool = (F(0), F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(7, 4))
+    pool += (big, -big / 3) if n <= 7 else ()
+    cases = [("direct-sum", direct_sum_w(n), None),
+             ("leibnitz", leibnitz_w(n), None)]
+    for lam in (F(0), F(1, 2), F(-3)) + ((big, 1 / big) if n <= 7 else ()):
+      cases.append(("leibnitz-deform", leibnitz_deform(n, lam), lam))
+    for alpha in [(F(0),) * n] + [tuple(rng.choice(pool) for _ in range(n))
+                                  for _ in range(1 if n == 64 else 3)]:
+      cases.append(("circulant", circulant_w(alpha), alpha))
+    for family, w, param in cases:
+      oracle = family_oracle(family, n, param)
+      assert w.entries == oracle, (family, n, param)
+      built = make_wtensor(n, oracle)
+      assert w == built and not w.dense.flags.writeable
+      fits = all(abs(v * w.scale) < 2**63 for v in set(oracle.values()))
+      assert w.dense.dtype == (np.int64 if fits else object)
+      report = wtensor_validate(w)
+      assert report.ok and report == wtensor_validate(built)
+      if n <= 3:
+        assert report == direct_oracle(w)
+  # cutting index 0 cuts the only fractional entry: the scale drops to 1
+  for n in (2, 3, 7):
+    for den in (2, 2**70):
+      w = make_wtensor(n, {(i, i, i): F(1, den) if i == 0 else 1
+                           for i in range(n)})
+      assert w.scale == den and wtensor_validate(w).ok
+      t = truncate_to_solvable(w)
+      assert t.scale == 1 and t.dense.dtype == np.int64
+      direct = direct_sum_w(n - 1)
+      assert t == direct and t.entries == direct.entries
+
+
 def test_builders_reject_n_before_building():
   for n in (0, MAX_N + 1, 100000):
     for build in (direct_sum_w, leibnitz_w,
