@@ -1,9 +1,10 @@
 """Lie algebras given by exact rational structure constants.
 
-A bracket on a d-dimensional space is stored sparsely as
-``table[(a, b)] = {e: c_ab_e}`` for a < b (antisymmetry supplies the rest,
-diagonal brackets are zero by construction).  Everything here is exact:
-coefficients are Fractions and validation decisions never touch floats.
+A bracket on a d-dimensional space is held as integers ``dense[a, b, e]``
+over a common ``scale`` (see ``linalg.cleared``), antisymmetric in (a, b),
+and read as the sparse view ``table[(a, b)] = {e: c_ab_e}`` for a < b.
+Everything here is exact: coefficients are Fractions and validation
+decisions never touch floats.
 """
 
 from __future__ import annotations
@@ -11,13 +12,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import frac_matrix, identity_matrix, nullspace, zeros_matrix
+from .linalg import (ClearedTable, cleared, frac_matrix, identity_matrix,
+                     nullspace, zeros_matrix)
 from .rationals import as_fraction, format_rational
 
 MAX_DIM = 64
@@ -25,11 +28,30 @@ MAX_DIM = 64
 Table = dict[tuple[int, int], dict[int, Fraction]]
 
 
-@dataclass(frozen=True, eq=True)
-class StructureConstants:
+@dataclass(frozen=True, eq=False)
+class StructureConstants(ClearedTable):
+  """c_ab^e = dense[a, b, e] / scale (see ``linalg.ClearedTable``), with
+  ``dense`` antisymmetric in (a, b)."""
   dim: int
-  table: Table
+  dense: np.ndarray
+  scale: int
   name: str | None = None
+
+  @cached_property
+  def table(self) -> Table:
+    """The nonzero brackets {(a, b): {e: c_ab^e}} with a < b, in C order
+    (or in the order given to ``make_structure_constants``)."""
+    table: Table = {}
+    upper = np.triu(np.ones((self.dim,) * 2, dtype=bool), 1)[:, :, None]
+    for (a, b, e), v in self._fractions(upper).items():
+      table.setdefault((a, b), {})[e] = v
+    return table
+
+
+def _from_numerators(dense: np.ndarray, scale: int) -> StructureConstants:
+  """The table dense / scale, antisymmetric in its first two indices."""
+  dense, scale = cleared(dense, scale)
+  return StructureConstants(dense.shape[0], dense, scale)
 
 
 @dataclass(frozen=True)
@@ -64,7 +86,7 @@ def make_structure_constants(dim: int, brackets, name: str | None = None) -> Str
   table: Table = {}
   for key, coeffs in brackets.items():
     a, b = key
-    if not (isinstance(a, int) and isinstance(b, int)):
+    if not type(a) is type(b) is int:
       raise ValueError(f"bracket key must be an integer pair, got {key!r}")
     if not (0 <= a < b < dim):
       raise ValueError(f"bracket key must satisfy 0 <= a < b < dim, got {key!r}")
@@ -81,7 +103,14 @@ def make_structure_constants(dim: int, brackets, name: str | None = None) -> Str
         inner[e] = v
     if inner:
       table[(a, b)] = inner
-  return StructureConstants(dim=dim, table=table, name=name)
+  keys = [(a, b, e) for (a, b), inner in table.items() for e in inner]
+  nums, scale = cleared([v for inner in table.values() for v in inner.values()])
+  dense = np.zeros(dim**3, dtype=nums.dtype)
+  dense[[(a * dim + b) * dim + e for a, b, e in keys]] = nums
+  dense[[(b * dim + a) * dim + e for a, b, e in keys]] = -nums
+  c = StructureConstants(dim, dense.reshape(dim, dim, dim), scale, name)
+  c.__dict__["table"] = table
+  return c
 
 
 _PARAM_NAME_RE = re.compile(r"^(abelian|so|gl)\((\d+)\)$")
@@ -125,12 +154,10 @@ def builtin_algebra(name: str) -> StructureConstants:
 def so_matrix_basis(p: int) -> list[np.ndarray]:
   """Basis E_ab - E_ba of antisymmetric p x p matrices, (a, b) ascending."""
   out = []
-  for a in range(p):
-    for b in range(a + 1, p):
-      mat = zeros_matrix(p, p)
-      mat[a, b] = Fraction(1)
-      mat[b, a] = Fraction(-1)
-      out.append(mat)
+  for a, b in combinations(range(p), 2):
+    mat = zeros_matrix(p, p)
+    mat[a, b], mat[b, a] = Fraction(1), Fraction(-1)
+    out.append(mat)
   return out
 
 
@@ -189,24 +216,8 @@ def bracket_eval(c: StructureConstants, x, y) -> tuple[Fraction, ...]:
 
 def ad_matrix(c: StructureConstants, x) -> np.ndarray:
   """Matrix of ad_x = [x, .] in the chosen basis (columns are [x, e_b])."""
-  d = c.dim
-  out = zeros_matrix(d, d)
-  for b in range(d):
-    col = bracket_eval(c, x, basis_vector(d, b))
-    for e in range(d):
-      out[e, b] = col[e]
-  return out
-
-
-def _rows(c: StructureConstants, scale: int) -> list[dict[int, dict[int, int]]]:
-  """rows[x][y] = coefficients of [e_x, e_y] times ``scale``, as integers,
-  for every x != y with a nonzero bracket (antisymmetry applied)."""
-  rows: list[dict[int, dict[int, int]]] = [{} for _ in range(c.dim)]
-  for (a, b), coeffs in c.table.items():
-    rows[a][b] = {e: v.numerator * (scale // v.denominator)
-                  for e, v in coeffs.items()}
-    rows[b][a] = {e: -iv for e, iv in rows[a][b].items()}
-  return rows
+  return np.array([bracket_eval(c, x, basis_vector(c.dim, b))
+                   for b in range(c.dim)], dtype=object).T
 
 
 def _jacobi_scan(dim: int, pairs, sign: int = 1) -> JacobiReport:
@@ -216,13 +227,19 @@ def _jacobi_scan(dim: int, pairs, sign: int = 1) -> JacobiReport:
   ``pairs`` of the cyclic sum of [[x, y]_p, z]_q.  It must be alternating in
   the triple (a Jacobiator, or a sum of them), so triples a < b < c suffice;
   the first violation is the lexicographically smallest (a, b, c) and,
-  within it, the smallest output component f.  The scan runs on integer
-  copies of the tables, cleared by one common denominator.
+  within it, the smallest output component f.  The scan runs on sparse rows
+  rows[x][y] = {e: numerator of c_xy^e} of the tables' cleared arrays, put
+  over one common scale.
   """
-  scale = lcm(*(v.denominator for pair in pairs for c in pair
-                for coeffs in c.table.values() for v in coeffs.values()))
-  algebras = {id(c): c for pair in pairs for c in pair}
-  rows = {key: _rows(c, scale) for key, c in algebras.items()}
+  scale = lcm(*(c.scale for pair in pairs for c in pair))
+  rows: dict[int, list[dict[int, dict[int, int]]]] = {}
+  for c in {id(c): c for pair in pairs for c in pair}.values():
+    rows[id(c)] = [{} for _ in range(dim)]
+    where = np.nonzero(c.dense)
+    factor = scale // c.scale
+    for x, y, e, v in zip(*(a.tolist() for a in where),
+                          c.dense[where].tolist()):
+      rows[id(c)][x].setdefault(y, {})[e] = v * factor
   tables = [(rows[id(p)], rows[id(q)]) for p, q in pairs]
   for a in range(dim):
     for b in range(a + 1, dim):
@@ -248,15 +265,11 @@ def validate_structure_constants(c: StructureConstants) -> JacobiReport:
 def center_basis(c: StructureConstants) -> list[tuple[Fraction, ...]]:
   """Deterministic exact basis of the center {x : [x, y] = 0 for all y}.
 
-  Solves the linear system sum_a x_a c_ab^e = 0 over all (b, e).
+  Solves the linear system sum_a x_a c_ab^e = 0 over all (b, e), on the
+  cleared numerators (row b*d + e, column a).
   """
   d = c.dim
-  system = zeros_matrix(d * d, d)
-  for (a, b), coeffs in c.table.items():
-    for e, v in coeffs.items():
-      system[b * d + e, a] += v
-      system[a * d + e, b] -= v
-  return nullspace(system)
+  return nullspace(c.dense.transpose(1, 2, 0).reshape(d * d, d))
 
 
 def mixed_jacobi_check(first: StructureConstants,
@@ -274,21 +287,19 @@ def mixed_jacobi_check(first: StructureConstants,
   return _jacobi_scan(first.dim, [(first, second), (second, first)], sign=-1)
 
 
-def _combine_tables(first: StructureConstants, second: StructureConstants,
-                    lam: Fraction, mu: Fraction) -> Table:
-  table: Table = {}
-  keys = set(first.table) | set(second.table)
-  for key in keys:
-    inner: dict[int, Fraction] = {}
-    ca = first.table.get(key, {})
-    cb = second.table.get(key, {})
-    for e in set(ca) | set(cb):
-      v = lam * ca.get(e, Fraction(0)) + mu * cb.get(e, Fraction(0))
-      if v != 0:
-        inner[e] = v
-    if inner:
-      table[key] = inner
-  return table
+def _combine(first: StructureConstants, second: StructureConstants,
+             lam: Fraction, mu: Fraction) -> StructureConstants:
+  """lam * first + mu * second: k1 * first.dense + k2 * second.dense over
+  den * first.scale * second.scale, with integers k1 = den * lam * second.scale
+  and k2 = den * mu * first.scale, in Python integers if a sum can pass 2^63."""
+  k1, k2 = lam * second.scale, mu * first.scale
+  den = lcm(k1.denominator, k2.denominator)
+  k1, k2 = int(k1 * den), int(k2 * den)
+  x, y = first.dense, second.dense
+  bound = abs(k1) * max(first.max_abs, 1) + abs(k2) * max(second.max_abs, 1)
+  if bound >= 2**63:
+    x, y = x.astype(object), y.astype(object)
+  return _from_numerators(k1 * x + k2 * y, den * first.scale * second.scale)
 
 
 def compatibility_check(first: StructureConstants,
@@ -326,9 +337,7 @@ def pencil_bracket(first: StructureConstants, second: StructureConstants,
   if not report.compatible:
     raise ValueError(
         f"incompatible pair: mixed Jacobi fails at {report.mixed.violation}")
-  lam = as_fraction(lam)
-  mu = as_fraction(mu)
-  return StructureConstants(first.dim, _combine_tables(first, second, lam, mu))
+  return _combine(first, second, as_fraction(lam), as_fraction(mu))
 
 
 def sum_bracket_table(first: StructureConstants,
@@ -336,8 +345,7 @@ def sum_bracket_table(first: StructureConstants,
   """Plain entrywise sum of two tables, with no compatibility requirement."""
   if first.dim != second.dim:
     raise ValueError("brackets live on spaces of different dimension")
-  return StructureConstants(first.dim, _combine_tables(
-      first, second, Fraction(1), Fraction(1)))
+  return _combine(first, second, Fraction(1), Fraction(1))
 
 
 def coboundary_of_one_cochain(c: StructureConstants, beta) -> StructureConstants:
@@ -350,23 +358,15 @@ def coboundary_of_one_cochain(c: StructureConstants, beta) -> StructureConstants
   bmat = frac_matrix(beta)
   if bmat.shape != (d, d):
     raise ValueError(f"one-cochain must be a {d} x {d} matrix")
-  ident = [basis_vector(d, i) for i in range(d)]
-  cols = [tuple(bmat[:, j]) for j in range(d)]
-  brackets = {}
-  for a in range(d):
-    for b in range(a + 1, d):
-      t1 = bracket_eval(c, ident[a], cols[b])
-      t2 = bracket_eval(c, ident[b], cols[a])
-      inner_vec = bracket_eval(c, ident[a], ident[b])
-      t3 = bmat.dot(np.array(inner_vec, dtype=object))
-      coeffs = {}
-      for e in range(d):
-        v = t1[e] - t2[e] - t3[e]
-        if v != 0:
-          coeffs[e] = v
-      if coeffs:
-        brackets[(a, b)] = coeffs
-  return StructureConstants(d, brackets)
+  bnum, bscale = cleared(bmat.ravel().tolist())
+  x, bnum = c.dense, bnum.reshape(d, d)
+  # an entry sums 3d products c_ab^g beta_ge of cleared numerators
+  if 3 * d * c.max_abs * int(np.abs(bnum).max()) >= 2**63:
+    x, bnum = x.astype(object), bnum.astype(object)
+  # t[a, b, e] = sum_g c_ag^e beta_gb, the coefficients of [e_a, beta(e_b)]
+  t = (x.transpose(0, 2, 1) @ bnum).transpose(0, 2, 1)
+  return _from_numerators(t - t.transpose(1, 0, 2) - x @ bnum.T,
+                          c.scale * bscale)
 
 
 def structure_constants_to_json(c: StructureConstants) -> dict:

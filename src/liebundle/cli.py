@@ -56,21 +56,12 @@ def _load_json(path: str):
     raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _canonical_doc(head: list[tuple[str, object]], list_key: str,
-                   items: list[dict]) -> str:
-  """Stable one-item-per-line JSON document."""
-  lines = ["{"]
-  for key, value in head:
-    lines.append(f"  {json.dumps(key)}: {json.dumps(value)},")
-  if items:
-    lines.append(f"  {json.dumps(list_key)}: [")
-    lines.append(",\n".join(
-        f"    {json.dumps(item, separators=(', ', ': '))}" for item in items))
-    lines.append("  ]")
-  else:
-    lines.append(f"  {json.dumps(list_key)}: []")
-  lines.append("}")
-  return "\n".join(lines) + "\n"
+def _canonical_doc(head: tuple[str, int], list_key: str,
+                   items: list[str]) -> str:
+  """Stable one-item-per-line JSON document from the items' JSON texts."""
+  sep = ",\n    "
+  body = f"[\n    {sep.join(items)}\n  ]" if items else "[]"
+  return f'{{\n  "{head[0]}": {head[1]},\n  "{list_key}": {body}\n}}\n'
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -91,8 +82,11 @@ def _resolve_algebra(args):
 
 
 def _w_document(w) -> str:
+  """The W-tensor file; a canonical rational is a JSON string as it is."""
   doc = wtensor_to_json(w)
-  return _canonical_doc([("n", doc["n"])], "entries", doc["entries"])
+  return _canonical_doc(("n", doc["n"]), "entries", [
+      f'{{"i": {e["i"]}, "j": {e["j"]}, "k": {e["k"]}, '
+      f'"value": "{e["value"]}"}}' for e in doc["entries"]])
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +266,8 @@ def cmd_poisson_bracket(args) -> int:
   result = lie_poisson_bracket(tensor, f, g)
   if args.format == "json":
     doc = poly_to_json(result)
-    sys.stdout.write(_canonical_doc([("dim", doc["dim"])], "terms",
-                                    doc["terms"]))
+    sys.stdout.write(_canonical_doc(("dim", doc["dim"]), "terms", [
+        json.dumps(t, separators=(", ", ": ")) for t in doc["terms"]]))
   else:
     _render([_field("dim", algebra.dim),
              _field("bracket", poly_to_text(result))], args.format)

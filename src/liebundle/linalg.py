@@ -3,11 +3,15 @@
 Matrices are numpy arrays with ``dtype=object`` holding Fractions (or ints);
 rank and nullspace go through Bareiss fraction-free elimination on a
 denominator-cleared integer copy, so no float ever enters a decision.
+``cleared`` is the one canonical integer form of a table of rationals, the
+form W-tensors and structure constants are held in.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -18,15 +22,10 @@ from .rationals import as_fraction
 def frac_matrix(rows) -> np.ndarray:
   """Build an object-dtype matrix of Fractions from nested iterables."""
   data = [[as_fraction(v) for v in row] for row in rows]
-  if not data:
-    return np.empty((0, 0), dtype=object)
-  width = len(data[0])
-  if any(len(row) != width for row in data):
+  if any(len(row) != len(data[0]) for row in data):
     raise ValueError("ragged rows")
-  out = np.empty((len(data), width), dtype=object)
-  for i, row in enumerate(data):
-    for j, v in enumerate(row):
-      out[i, j] = v
+  out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
+  out[...] = data
   return out
 
 
@@ -36,8 +35,7 @@ def zeros_matrix(m: int, n: int) -> np.ndarray:
 
 def identity_matrix(n: int) -> np.ndarray:
   out = zeros_matrix(n, n)
-  for i in range(n):
-    out[i, i] = Fraction(1)
+  np.fill_diagonal(out, Fraction(1))
   return out
 
 
@@ -49,15 +47,65 @@ def is_zero_matrix(a: np.ndarray) -> bool:
   return not (a != 0).any()
 
 
-def _as_int_rows(matrix) -> list[list[int]]:
-  """Copy to integer rows, clearing the denominators of the whole matrix.
+def cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
+  """The rationals ``values / scale`` in canonical form: integer numerators
+  and a positive scale with no common factor (zero has scale 1), so equal
+  tables have equal forms; int64 when every numerator fits (|x| < 2^63, so
+  they negate safely), else Python integers (object).  ``values`` is an
+  integer array, or ints and Fractions, which are put over the lcm of their
+  denominators (a flat array, with no common factor left: ``scale`` is 1)."""
+  if not isinstance(values, np.ndarray):
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    fits = -2**63 < min(nums, default=0) and max(nums, default=0) < 2**63
+    return np.array(nums, dtype=np.int64 if fits else object), den
+  if not values.any():
+    return np.zeros(values.shape, dtype=np.int64), 1
+  g = gcd(scale, int(np.gcd.reduce(values.ravel()))) if scale > 1 else 1
+  if g > 1:
+    values, scale = values // g, scale // g
+  if values.dtype == object and -2**63 < values.min() and values.max() < 2**63:
+    values = values.astype(np.int64)
+  return values, scale
 
-  Scaling every entry by one positive factor changes neither rank nor
-  nullspace.
-  """
-  fr = [[as_fraction(v) for v in row] for row in matrix]
-  scale = lcm(*(v.denominator for row in fr for v in row))
-  return [[v.numerator * (scale // v.denominator) for v in row] for row in fr]
+
+class ClearedTable:
+  """Base of the frozen dataclasses that hold a table of rationals as
+  ``dense / scale`` in the form of ``cleared``.  ``dense`` is read-only;
+  two tables are equal when their types and all their fields are."""
+
+  def __post_init__(self):
+    self.dense.flags.writeable = False
+
+  def __eq__(self, other) -> bool:  # and so unhashable
+    return type(other) is type(self) and all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name))
+        for f in fields(self))
+
+  @cached_property
+  def max_abs(self) -> int:
+    """The largest absolute numerator."""
+    return int(np.abs(self.dense).max())
+
+  def _fractions(self, keep=True) -> dict:
+    """{index: dense[index] / scale} over the nonzero entries where ``keep``
+    holds, in C order, with one Fraction per distinct value."""
+    where = np.nonzero((self.dense != 0) & keep)
+    nums = self.dense[where].tolist()
+    value = {x: Fraction(x, self.scale) for x in set(nums)}
+    keys = zip(*(a.tolist() for a in where))
+    return dict(zip(keys, map(value.__getitem__, nums)))
+
+
+def _as_int_rows(matrix) -> list[list[int]]:
+  """Integer rows with the rank and nullspace of ``matrix``: an int64 array
+  as it is, rationals cleared by one common positive factor (which changes
+  neither)."""
+  if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
+    return matrix.tolist()
+  fr = frac_matrix(matrix)
+  return cleared(fr.ravel().tolist())[0].reshape(fr.shape).tolist()
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -117,30 +165,19 @@ def nullspace(matrix) -> list[tuple[Fraction, ...]]:
   for f in free_cols:
     x = [Fraction(0)] * ncols
     x[f] = Fraction(1)
-    for r in range(len(piv) - 1, -1, -1):
-      p = piv[r]
-      row = ech[r]
-      acc = Fraction(0)
-      for j in range(p + 1, ncols):
-        if row[j] and x[j]:
-          acc += Fraction(row[j]) * x[j]
-      x[p] = -acc / row[p]
+    for p, row in zip(reversed(piv), reversed(ech[:len(piv)])):
+      x[p] = -sum(row[j] * x[j] for j in range(p + 1, ncols)
+                  if row[j] and x[j]) / Fraction(row[p])
     basis.append(_normalize_vector(x))
   return basis
 
 
 def _normalize_vector(x: list[Fraction]) -> tuple[Fraction, ...]:
-  scale = lcm(*(v.denominator for v in x)) if x else 1
-  ints = [int(v * scale) for v in x]
-  g = 0
-  for v in ints:
-    g = gcd(g, abs(v))
-  if g > 1:
-    ints = [v // g for v in ints]
-  lead = next((v for v in ints if v != 0), 0)
-  if lead < 0:
-    ints = [-v for v in ints]
-  return tuple(Fraction(v) for v in ints)
+  """x scaled to coprime integers with its first nonzero entry positive."""
+  den = lcm(*(v.denominator for v in x))
+  ints = [v.numerator * (den // v.denominator) for v in x]
+  g = gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+  return tuple(Fraction(v // g) for v in ints)
 
 
 def in_span(vectors: list[tuple[Fraction, ...]], target) -> bool:
@@ -151,8 +188,7 @@ def in_span(vectors: list[tuple[Fraction, ...]], target) -> bool:
   if not vectors:
     return False
   stack = [list(v) for v in vectors]
-  base = rank(stack)
-  return rank(stack + [list(target)]) == base
+  return rank(stack + [list(target)]) == rank(stack)
 
 
 def is_nilpotent(matrix: np.ndarray) -> bool:

@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
 from .algebra_core import (MAX_DIM, JacobiReport, StructureConstants,
-                           bracket_eval, make_structure_constants)
+                           _from_numerators, basis_vector, bracket_eval)
 from .errors import InternalCheckError, SizeCapError
-from .linalg import frac_matrix, identity_matrix, is_nilpotent, mats_equal
+from .linalg import (ClearedTable, cleared, frac_matrix, identity_matrix,
+                     is_nilpotent, mats_equal)
 from .rationals import as_fraction, format_rational
 
 MAX_N = 64
@@ -35,35 +35,17 @@ Entries = dict[tuple[int, int, int], Fraction]
 
 
 @dataclass(frozen=True, eq=False)
-class WTensor:
-  """W^{ij}_s = dense[i, j, s] / scale: integer numerators over the lcm of
-  the entries' denominators, so the form is canonical and equality is exact.
-  ``dense`` is int64 when every numerator fits, else object; read-only."""
+class WTensor(ClearedTable):
+  """W^{ij}_s = dense[i, j, s] / scale (see ``linalg.ClearedTable``)."""
   n: int
   dense: np.ndarray
   scale: int
-
-  def __post_init__(self):
-    self.dense.flags.writeable = False
-
-  def __eq__(self, other) -> bool:  # and so unhashable; n is dense's shape
-    return (isinstance(other, WTensor) and self.scale == other.scale
-            and np.array_equal(self.dense, other.dense))
 
   @cached_property
   def entries(self) -> Entries:
     """The nonzero entries {(i, j, s): W^{ij}_s}, one Fraction per distinct
     value, in C order (or in the order given to ``make_wtensor``)."""
-    where = np.nonzero(self.dense)
-    nums = self.dense[where].tolist()
-    value = {x: Fraction(x, self.scale) for x in set(nums)}
-    keys = zip(*(a.tolist() for a in where))
-    return dict(zip(keys, map(value.__getitem__, nums)))
-
-  @cached_property
-  def max_abs(self) -> int:
-    """The largest absolute numerator."""
-    return int(np.abs(self.dense).max())
+    return self._fractions()
 
   @cached_property
   def _pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
@@ -92,15 +74,6 @@ def _check_n(n) -> None:
     raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
 
 
-def _numerators(values) -> tuple[np.ndarray, int]:
-  """Numerators of the Fractions ``values`` over the lcm of their
-  denominators (int64 when every one fits, else object), and that lcm."""
-  scale = lcm(*(v.denominator for v in values))
-  nums = [v.numerator * (scale // v.denominator) for v in values]
-  fits = all(-2**63 < x < 2**63 for x in nums)
-  return np.array(nums, dtype=np.int64 if fits else object), scale
-
-
 def _assemble(n: int, codes: dict, values: list[Fraction]) -> WTensor:
   """W with W^{ij}_s = values[codes[(i, j, s)]], zero elsewhere."""
   _check_n(n)
@@ -111,7 +84,7 @@ def _assemble(n: int, codes: dict, values: list[Fraction]) -> WTensor:
             and 0 <= i < n and 0 <= j < n and 0 <= s < n):
       raise ValueError(f"index {key!r} out of range for n={n}")
     flat.append((i * n + j) * n + s)
-  nums, scale = _numerators(values)
+  nums, scale = cleared(values)
   dense = np.zeros(n**3, dtype=nums.dtype)
   dense[flat] = nums[list(codes.values())]
   return WTensor(n, dense.reshape(n, n, n), scale)
@@ -156,7 +129,7 @@ def circulant_w(alpha) -> WTensor:
   alpha = tuple(as_fraction(v) for v in alpha)
   n = len(alpha)
   _check_n(n)
-  nums, scale = _numerators(alpha)
+  nums, scale = cleared(alpha)
   r = np.arange(n)
   return WTensor(n, nums[(r[:, None, None] + r[:, None] - r) % n], scale)
 
@@ -174,7 +147,7 @@ def leibnitz_deform(n: int, lam) -> WTensor:
   _check_n(n)
   lam = as_fraction(lam)
   # lam is an entry (at i = j = n - 1), and so in the scale, only when n > 1
-  nums, scale = _numerators([Fraction(1), lam] if n > 1 else [Fraction(1)])
+  nums, scale = cleared([1, lam] if n > 1 else [1])
   i, j = np.indices((n, n))
   dense = np.zeros((n, n, n), dtype=nums.dtype)
   dense[i, j, (i + j) % n] = nums[(i + j >= n).astype(np.intp)]
@@ -327,9 +300,7 @@ def truncate_to_solvable(w: WTensor) -> WTensor:
     raise ValueError(f"cannot truncate an invalid tensor ({report.failure} "
                      f"violation at {report.indices})")
   # re-cleared: the numerators left may share a factor with the scale
-  distinct, codes = np.unique(w.dense[1:, 1:, 1:], return_inverse=True)
-  nums, scale = _numerators([Fraction(x, w.scale) for x in distinct.tolist()])
-  return WTensor(w.n - 1, nums[codes].reshape((w.n - 1,) * 3), scale)
+  return WTensor(w.n - 1, *cleared(w.dense[1:, 1:, 1:], w.scale))
 
 
 def filtration_support_check(w: WTensor) -> bool:
@@ -347,9 +318,7 @@ def max_abelian_filtration_ideal(w: WTensor) -> int:
   F^(k) for that k is abelian under the extension bracket, universally in G.
   Returns 0 for the zero tensor; may return n (only F^(n) = 0 is abelian).
   """
-  if not w.entries:
-    return 0
-  return 1 + max(min(i, j) for (i, j, s) in w.entries)
+  return 1 + max((min(i, j) for (i, j, s) in w.entries), default=-1)
 
 
 def semisimple_form_check(w: WTensor) -> bool:
@@ -367,8 +336,7 @@ def gn_basis(n: int, d: int, block: int, coord: int) -> tuple:
   """Basis element of G^n: coordinate ``coord`` of block ``block``."""
   if not (0 <= block < n and 0 <= coord < d):
     raise ValueError("basis indices out of range")
-  zero = tuple(Fraction(0) for _ in range(d))
-  one = tuple(Fraction(1) if t == coord else Fraction(0) for t in range(d))
+  zero, one = (Fraction(0),) * d, basis_vector(d, coord)
   return tuple(one if b == block else zero for b in range(n))
 
 
@@ -411,19 +379,20 @@ def induced_structure_constants(w: WTensor, c: StructureConstants,
                                 cap: int = DEFAULT_CAP) -> StructureConstants:
   """Structure constants of the extension on G^n via the product formula
   c'_{(i,a),(j,b)}^{(s,e)} = W^{ij}_s c_ab^e, with flat index (i, a) = i*d + a.
+
+  The table is the outer product of the cleared arrays, in Python integers
+  where a product can reach 2^63; for v < u it is set to minus the (u, v)
+  brackets, so an asymmetric W keeps its u < v half.
   """
   n, d = w.n, c.dim
-  nd = n * d
-  _check_extension_dim(nd, cap)
-  brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-  for (i, j, s), wv in w.entries.items():
-    for (a, b), coeffs in c.table.items():
-      for x, y, sign in ((a, b, wv), (b, a, -wv)):  # c_ba = -c_ab
-        if i * d + x < j * d + y:
-          inner = brackets.setdefault((i * d + x, j * d + y), {})
-          for e, q in coeffs.items():
-            inner[s * d + e] = inner.get(s * d + e, 0) + sign * q
-  return make_structure_constants(nd, brackets)
+  _check_extension_dim(n * d, cap)
+  wd, cd = w.dense, c.dense
+  if w.max_abs * c.max_abs >= 2**63:
+    wd, cd = wd.astype(object), cd.astype(object)
+  table = _outer(wd, cd)
+  upper = np.triu(np.ones((n * d,) * 2, dtype=bool), 1)[:, :, None]
+  return _from_numerators(np.where(upper, table, -table.transpose(1, 0, 2)),
+                          w.scale * c.scale)
 
 
 def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -523,24 +492,18 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   (``_certify_induced``): any difference raises InternalCheckError.  An
   asymmetric W has no such table (the induced one stores u < v only), so
   its report comes from the factorised route.  Both routes read W's cleared
-  numerators and one cleared copy of G.
+  numerators and G's.
   """
   n, d = w.n, c.dim
   _check_extension_dim(n * d, cap)
-  structure = {}
-  for (a, b), coeffs in c.table.items():
-    for e, v in coeffs.items():
-      structure[(a, b, e)] = v
-      structure[(b, a, e)] = -v
-  g = make_wtensor(d, structure)  # c_ab^e, cleared as W is
   # a partial sum in either route adds at most 3*n*d products of two table
   # entries W^{ij}_s c_ab^e; max(., 1) bounds each factor's own entries too
-  bound = 3 * n * d * (max(w.max_abs, 1) * max(g.max_abs, 1))**2
+  bound = 3 * n * d * (max(w.max_abs, 1) * max(c.max_abs, 1))**2
   dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
-  wd, cd = w.dense.astype(dtype), g.dense.astype(dtype)
-  report = _certify_factorised(wd, cd, w.scale * g.scale)
+  wd, cd = w.dense.astype(dtype), c.dense.astype(dtype)
+  report = _certify_factorised(wd, cd, w.scale * c.scale)
   if _symmetry_violation(wd) is None:
-    table = _certify_induced(wd, cd, w.scale * g.scale)
+    table = _certify_induced(wd, cd, w.scale * c.scale)
     if report != table:
       raise InternalCheckError(
           f"certify routes disagree: factorised={report!r} table={table!r}")
@@ -552,9 +515,13 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
 
 
 def wtensor_to_json(w: WTensor) -> dict:
-  """Canonical JSON-ready dict, entries sorted by (i, j, k)."""
-  entries = [{"i": i, "j": j, "k": s, "value": format_rational(v)}
-             for (i, j, s), v in sorted(w.entries.items())]
+  """Canonical JSON-ready dict, entries sorted by (i, j, k) (C order); each
+  distinct value is formatted once."""
+  where = np.nonzero(w.dense)
+  nums = w.dense[where].tolist()
+  text = {x: format_rational(Fraction(x, w.scale)) for x in set(nums)}
+  entries = [{"i": i, "j": j, "k": s, "value": text[x]}
+             for i, j, s, x in zip(*(a.tolist() for a in where), nums)]
   return {"n": w.n, "entries": entries}
 
 

@@ -16,6 +16,7 @@ from liebundle import (InternalCheckError, ad_matrix, basis_vector,
                        structure_constants_from_json,
                        structure_constants_to_json, sum_bracket_table,
                        validate_structure_constants)
+from liebundle import induced_structure_constants, make_wtensor
 from liebundle.algebra_core import so_matrix_basis
 
 
@@ -134,6 +135,8 @@ def test_make_structure_constants_rejects_bad_tables():
     make_structure_constants(2, {(0, 1): {2: 1}})  # target out of range
   with pytest.raises(ValueError):
     make_structure_constants(0, {})
+  with pytest.raises(ValueError):
+    make_structure_constants(2, {(False, True): {0: 1}})  # bool indices
   # zero coefficients are dropped, not stored
   c = make_structure_constants(2, {(0, 1): {0: 0, 1: 1}})
   assert c.table == {(0, 1): {1: F(1)}}
@@ -345,3 +348,45 @@ def test_sum_bracket_table_adds_and_cancels():
   b = make_structure_constants(2, {(0, 1): {0: -1}})
   s = sum_bracket_table(a, b)
   assert s.table == {(0, 1): {1: F(2)}}
+
+
+def assert_canonical(c, brackets):
+  """c equals the table of ``brackets`` (zero brackets dropped, scale
+  reduced) and its array is read-only and antisymmetric."""
+  assert c == make_structure_constants(c.dim, brackets, name=c.name)
+  assert not c.dense.flags.writeable
+  assert np.array_equal(c.dense, -c.dense.transpose(1, 0, 2))
+
+
+def test_computed_tables_are_canonical():
+  so3 = {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}
+  twos = make_structure_constants(3, {k: {e: 2 * v for e, v in coeffs.items()}
+                                      for k, coeffs in so3.items()})
+  halves = make_structure_constants(3, {(0, 1): {2: F(1, 2)},
+                                        (1, 2): {0: F(3, 2)}})
+  assert (twos.scale, halves.scale) == (1, 2)
+  # the halves cancel and the (1, 2) bracket vanishes: scale 2 -> 1
+  minus = make_structure_constants(3, {(0, 1): {2: F(-1, 2), 0: 3},
+                                       (1, 2): {0: F(-3, 2)}})
+  total = sum_bracket_table(halves, minus)
+  assert_canonical(total, {(0, 1): {0: 3}})
+  assert total.scale == 1 and total.table == {(0, 1): {0: F(3)}}
+  assert_canonical(pencil_bracket(twos, twos, F(1, 2), F(0)), so3)
+  assert_canonical(pencil_bracket(twos, twos, F(1, 4), F(1, 4)), so3)
+  assert_canonical(pencil_bracket(twos, twos, F(1, 2), F(-1, 2)), {})
+  half = [[F(1, 2) if i == j else 0 for j in range(3)] for i in range(3)]
+  assert_canonical(coboundary_of_one_cochain(twos, half), so3)
+  # beta = e_0 e_0^T keeps only the brackets with an index 0
+  beta = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+  assert_canonical(coboundary_of_one_cochain(twos, beta),
+                   {(0, 1): {2: 2}, (0, 2): {1: -2}, (1, 2): {0: -2}})
+  assert_canonical(induced_structure_constants(
+      make_wtensor(1, {(0, 0, 0): F(1, 2)}), twos), so3)
+  for c in (twos, halves, builtin_algebra("gl(3)")):
+    assert_canonical(c, c.table)
+  # sums and products that pass 2^63 leave int64 for Python integers
+  big = make_structure_constants(3, {(0, 1): {2: 2**62}})
+  for c in (sum_bracket_table(big, big), pencil_bracket(big, big, 2, 0),
+            coboundary_of_one_cochain(big, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])):
+    assert_canonical(c, {(0, 1): {2: 2**63}})
+    assert c.dense.dtype == object

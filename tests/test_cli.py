@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import liebundle
-from liebundle import cli, circulant_w, leibnitz_w, wtensor_to_json
+from liebundle import (cli, circulant_w, leibnitz_deform, leibnitz_w,
+                       make_wtensor, wtensor_to_json)
 from liebundle.cli import main
+from liebundle.rationals import format_rational
+
+F = Fraction
 
 
 def run_cli(*argv):
@@ -124,6 +129,33 @@ def test_make_w_out_file_matches_stdout(tmp_path):
   assert code == code2 == 0
   assert out2 == ""
   assert path.read_text() == out == GOLDEN_LEIB3
+
+
+def per_entry_w_document(w):
+  """The W-tensor file as first rendered: one Fraction and one json.dumps
+  per entry."""
+  entries = [{"i": i, "j": j, "k": s, "value": format_rational(v)}
+             for (i, j, s), v in sorted(w.entries.items())]
+  lines = ["{", f"  {json.dumps('n')}: {json.dumps(w.n)},"]
+  if entries:
+    lines.append(f"  {json.dumps('entries')}: [")
+    lines.append(",\n".join(f"    {json.dumps(e, separators=(', ', ': '))}"
+                            for e in entries))
+    lines.append("  ]")
+  else:
+    lines.append(f"  {json.dumps('entries')}: []")
+  lines.append("}")
+  return "\n".join(lines) + "\n"
+
+
+def test_w_document_matches_the_per_entry_rendering():
+  alpha = [F(k % 7 - 3 or 1, 1 + k % 3) for k in range(64)]  # dense n = 64
+  big = make_wtensor(2, {(0, 1, 0): 2**70, (1, 0, 0): 2**70, (1, 1, 1): F(1, 3)})
+  for w in (circulant_w(alpha), leibnitz_deform(5, F(-5, 7)), big,
+            circulant_w([0, 0, 0])):
+    assert cli._w_document(w) == per_entry_w_document(w)
+  assert run_cli("make-w", "circulant", "--alpha", "0,0,0") == (
+      0, per_entry_w_document(circulant_w([0, 0, 0])))
 
 
 def test_truncate_golden(tmp_path):

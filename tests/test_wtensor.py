@@ -19,8 +19,9 @@ from liebundle import (InternalCheckError, JacobiReport, SizeCapError, WTensor,
                        pencil_bracket, semisimple_form_check, slice_matrix,
                        truncate_to_solvable, validate_structure_constants,
                        wtensor_from_json, wtensor_to_json, wtensor_validate)
-from liebundle import wtensor
-from liebundle.linalg import identity_matrix, mats_equal
+from liebundle import (center_basis, make_structure_constants, so_sym_bundle,
+                       wtensor)
+from liebundle.linalg import identity_matrix, mats_equal, nullspace
 from liebundle.wtensor import MAX_N, _SLICE_BLOCK
 
 F = Fraction
@@ -401,6 +402,57 @@ def test_induced_constants_product_formula():
   assert ind.table[(1, 3)] == {4: F(-2)}
   # block (1,1) is dead: W^{11}_s = 0
   assert (3, 4) not in ind.table and (3, 5) not in ind.table
+
+
+def induced_oracle(w, c):
+  """The induced table by the per-entry Fraction loop it was first built
+  with: the u < v brackets, summed over W's entries and G's brackets."""
+  n, d = w.n, c.dim
+  brackets = {}
+  for (i, j, s), wv in w.entries.items():
+    for (a, b), coeffs in c.table.items():
+      for x, y, sign in ((a, b, wv), (b, a, -wv)):  # c_ba = -c_ab
+        if i * d + x < j * d + y:
+          inner = brackets.setdefault((i * d + x, j * d + y), {})
+          for e, q in coeffs.items():
+            inner[s * d + e] = inner.get(s * d + e, 0) + sign * q
+  return make_structure_constants(n * d, brackets)
+
+
+def center_oracle(c):
+  """The center from a Fraction system built off the table."""
+  d = c.dim
+  system = [[F(0)] * d for _ in range(d * d)]
+  for (a, b), coeffs in c.table.items():
+    for e, v in coeffs.items():
+      system[b * d + e][a] += v
+      system[a * d + e][b] -= v
+  return nullspace(system)
+
+
+def test_induced_table_matches_the_fraction_loop():
+  rng = random.Random(77)
+  bundle = so_sym_bundle(3, [[F(1, 2), 0, F(1, 3)], [0, 2, 0],
+                             [F(1, 3), 0, F(-3, 4)]])
+  algebras = [builtin_algebra(x) for x in ("sl2", "heisenberg3", "gl(2)",
+                                           "so(4)")] + [bundle]
+  big = [make_wtensor(2, {(0, 1, 0): x, (1, 0, 0): x, (1, 1, 1): F(1, 3)})
+         for x in (2**62, 2**70)]
+  big.append(make_wtensor(2, {(0, 1, 1): 2**62, (0, 0, 0): 1}))  # one-sided
+  seen = set()
+  for g in algebras:
+    for n in (1, 2, 3):
+      for w in random_certify_tensors(rng, n) + big:
+        got = induced_structure_constants(w, g)
+        want = induced_oracle(w, g)
+        assert got == want and got.table == want.table, (w, g.name)
+        assert center_basis(got) == center_oracle(want), (w, g.name)
+        seen.add((got.dense.dtype, w.scale > 1 or g.scale > 1,
+                  w == make_wtensor(w.n, {(j, i, s): v for (i, j, s), v
+                                          in w.entries.items()})))
+  # int64 and Python-integer tables, fractional ones, symmetric and not
+  assert {x[0] for x in seen} == {np.dtype(np.int64), np.dtype(object)}
+  assert {x[1] for x in seen} == {x[2] for x in seen} == {True, False}
 
 
 def test_certify_families_and_routes_agree():
