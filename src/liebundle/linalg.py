@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are numpy arrays with ``dtype=object`` holding Fractions (or ints);
-rank and nullspace go through Bareiss fraction-free elimination on a
-denominator-cleared integer copy, so no float ever enters a decision.
 ``cleared`` is the one canonical integer form of a table of rationals, the
-form W-tensors and structure constants are held in.
+form W-tensors and structure constants are held in.  Rank and nullspace run
+one fraction-free elimination, ``_bareiss``, on a 2-D array of Python
+integers: an integer array is taken as it is, and rationals are cleared
+first, so no float and no Fraction enters a decision.  ``frac_matrix`` and
+its helpers build object matrices of Fractions for exact matrix products.
 """
 
 from __future__ import annotations
@@ -98,86 +99,77 @@ class ClearedTable:
     return dict(zip(keys, map(value.__getitem__, nums)))
 
 
-def _as_int_rows(matrix) -> list[list[int]]:
-  """Integer rows with the rank and nullspace of ``matrix``: an int64 array
-  as it is, rationals cleared by one common positive factor (which changes
-  neither)."""
-  if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
-    return matrix.tolist()
-  fr = frac_matrix(matrix)
-  return cleared(fr.ravel().tolist())[0].reshape(fr.shape).tolist()
+def _integer_matrix(matrix) -> np.ndarray:
+  """``matrix`` as a 2-D integer array with its rank and nullspace: an
+  integer array (int64 or Python integers) as it is, with its shape, and
+  rationals cleared by one common positive factor."""
+  if not isinstance(matrix, np.ndarray):
+    matrix = frac_matrix(matrix)
+  if matrix.dtype == np.int64 or all(type(v) is int for v in matrix.flat):
+    return matrix
+  return cleared([as_fraction(v) for v in matrix.flat])[0].reshape(
+      matrix.shape)
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-  """Fraction-free row echelon form; returns (rows, pivot column indices).
+def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]]:
+  """Fraction-free elimination of the integer matrix ``a``, in Python
+  integers: its rows that hold a pivot, and the pivot columns, ascending.
 
-  One-step Bareiss: every produced entry is a minor of the original matrix,
-  so the interior division is exact.  Row swaps only; deterministic pivot
-  choice (first nonzero at or below the working row).
+  Zero rows are dropped first; they never pivot.  Column c's pivot row is
+  the first at or below the working row r with a nonzero in c.  One step,
+  a[i] = (a[i] a[r, c] - a[i, c] a[r]) / prev with prev the last pivot (at
+  first 1), updates the rows below r, or with ``reduce`` every other row:
+  fraction-free Gauss-Jordan, after which every pivot equals the last, D.
+  The division is exact either way, as every entry is a minor of ``a``: on
+  the pivot rows and columns with row i and column j added (Bareiss) or, in
+  a pivot row, with its pivot column replaced by column j (Cramer).
   """
-  m = len(rows)
-  ncols = len(rows[0]) if m else 0
-  piv_cols: list[int] = []
+  a = a[(a != 0).any(axis=1)].astype(object)
+  pivots: list[int] = []
   prev = 1
-  r = 0
-  for c in range(ncols):
-    if r == m:
-      break
-    p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-    if p is None:
+  for c in range(a.shape[1]):
+    r = len(pivots)
+    below = np.flatnonzero(a[r:, c])
+    if not len(below):
       continue
-    rows[r], rows[p] = rows[p], rows[r]
-    pivot = rows[r][c]
-    for i in range(r + 1, m):
-      fi = rows[i][c]
-      ri, rr = rows[i], rows[r]
-      for j in range(c, ncols):
-        ri[j] = (ri[j] * pivot - fi * rr[j]) // prev
-    piv_cols.append(c)
-    prev = pivot
-    r += 1
-  return rows, piv_cols
+    a[[r, r + below[0]]] = a[[r + below[0], r]]
+    rows = np.arange(len(a)) != r if reduce else slice(r + 1, None)
+    a[rows] = (a[rows] * a[r, c] - a[rows, c:c + 1] * a[r]) // prev
+    prev = a[r, c]
+    pivots.append(c)
+  return a[:len(pivots)], pivots
 
 
 def rank(matrix) -> int:
   """Exact rank over Q."""
-  rows = _as_int_rows(matrix)
-  if not rows or not rows[0]:
-    return 0
-  _, piv = _bareiss_echelon(rows)
-  return len(piv)
+  return len(_bareiss(_integer_matrix(matrix))[1])
 
 
 def nullspace(matrix) -> list[tuple[Fraction, ...]]:
   """Deterministic basis of the exact right nullspace.
 
-  One vector per free column, in ascending column order; each vector is
-  scaled to coprime integers with its first nonzero entry positive.
+  One vector per free column f, in ascending column order, read off the
+  reduced form of ``_bareiss``: x_f = D, x_p = -a[i, f] at the pivot column
+  p of row i, and 0 at the other free columns.  Each vector is scaled to
+  coprime integers with its first nonzero entry positive.
   """
-  rows = _as_int_rows(matrix)
-  if not rows:
-    return []
-  ncols = len(rows[0])
-  ech, piv = _bareiss_echelon(rows)
-  piv_set = set(piv)
-  free_cols = [c for c in range(ncols) if c not in piv_set]
+  a, pivots = _bareiss(_integer_matrix(matrix), reduce=True)
+  n = a.shape[1]
+  d = a[0, pivots[0]] if pivots else 1
   basis = []
-  for f in free_cols:
-    x = [Fraction(0)] * ncols
-    x[f] = Fraction(1)
-    for p, row in zip(reversed(piv), reversed(ech[:len(piv)])):
-      x[p] = -sum(row[j] * x[j] for j in range(p + 1, ncols)
-                  if row[j] and x[j]) / Fraction(row[p])
+  for f in sorted(set(range(n)) - set(pivots)):
+    x = [0] * n
+    x[f] = d
+    for p, v in zip(pivots, a[:, f].tolist()):
+      x[p] = -v
     basis.append(_normalize_vector(x))
   return basis
 
 
-def _normalize_vector(x: list[Fraction]) -> tuple[Fraction, ...]:
-  """x scaled to coprime integers with its first nonzero entry positive."""
-  den = lcm(*(v.denominator for v in x))
-  ints = [v.numerator * (den // v.denominator) for v in x]
-  g = gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
-  return tuple(Fraction(v // g) for v in ints)
+def _normalize_vector(x: list[int]) -> tuple[Fraction, ...]:
+  """x divided by the gcd of its entries, with its first nonzero positive."""
+  g = gcd(*x) * (1 if next(v for v in x if v) > 0 else -1)
+  return tuple(Fraction(v // g) for v in x)
 
 
 def in_span(vectors: list[tuple[Fraction, ...]], target) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import rank
+from .linalg import cleared, rank
 from .rationals import as_fraction
 from .wtensor import MAX_N, WTensor
 
@@ -50,9 +50,9 @@ def _check_alpha(alpha) -> tuple:
 
 def circulant_rank_exact(alpha) -> int:
   """Exact rank over Q of C_ij = alpha_{(j-i) mod n} (= number of nonzero mu)."""
-  alpha = _check_alpha(alpha)
-  n = len(alpha)
-  return rank([[alpha[(j - i) % n] for j in range(n)] for i in range(n)])
+  nums, _ = cleared(_check_alpha(alpha))
+  r = np.arange(len(nums))
+  return rank(nums[(r - r[:, None]) % len(nums)])
 
 
 def mu_spectrum(alpha, tol: float = DEFAULT_TOL) -> MuSpectrum:
@@ -66,8 +66,11 @@ def mu_spectrum(alpha, tol: float = DEFAULT_TOL) -> MuSpectrum:
   n = len(alpha)
   if not 0 < tol < 1:
     raise ValueError(f"tolerance must be in (0, 1), got {tol!r}")
-  values = tuple(complex(v) for v in np.fft.fft(np.array(
-      [float(a) for a in alpha], dtype=np.float64)))
+  try:
+    floats = np.array([float(a) for a in alpha], dtype=np.float64)
+  except OverflowError:
+    raise ValueError("alpha has an entry beyond float64's range") from None
+  values = tuple(complex(v) for v in np.fft.fft(floats))
   flags = tuple(abs(v) < tol for v in values)
   exact_zero = n - circulant_rank_exact(alpha)
   if sum(flags) != exact_zero:

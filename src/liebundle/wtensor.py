@@ -429,18 +429,18 @@ def _certify_factorised(wd: np.ndarray, cd: np.ndarray,
   later = np.triu(np.ones((nd, nd), dtype=bool), 1)  # later[v, t]: t > v
   d_parts: dict[int, tuple] = {}  # a -> its D parts, kept for blocks i > 0
   for i in range(n):
-    # A[i, j, k, t], A[j, k, i, t] and A[i, k, j, t], each at [j, k, t]
+    # A[i, j, k, t] and A[j, k, i, t], each at [j, k, t]
     a1 = _contract(wd[i], wd)
     a2 = _contract(wd, wd[:, i])
-    a3 = a1.transpose(1, 0, 2)
     for a in range(d):
       u = i * d + a
-      # D[a, b, c, f], D[b, c, a, f] and D[a, c, b, f], each at [b, c, f]
+      # D[a, b, c, f] and D[b, c, a, f], each at [b, c, f]
       if a not in d_parts:
         d_parts[a] = _contract(cd[a], cd), _contract(cd, cd[:, a])
       d1, d2 = d_parts.pop(a) if n == 1 else d_parts[a]
-      d3 = d1.transpose(1, 0, 2)
-      r = _outer(a1, d1) + _outer(a2, d2) - _outer(a3, d3)
+      # A(ikj) D(acb) at [v, t] is A(ijk) D(abc) at [t, v]
+      o = _outer(a1, d1)
+      r = o - o.transpose(1, 0, 2) + _outer(a2, d2)
       hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
       if len(hits):
         v, t, f = (int(x) for x in hits[0])

@@ -185,6 +185,8 @@ def test_center_oracles():
   assert center_basis(builtin_algebra("so3")) == []
   ab = builtin_algebra("abelian(2)")
   assert center_basis(ab) == [frac_vec(1, 0), frac_vec(0, 1)]
+  assert center_basis(builtin_algebra("abelian(4)")) == [
+      frac_vec(*(int(i == j) for j in range(4))) for i in range(4)]
   # gl(p) has the scalar matrices as its center: E_00 + E_11 + ... = sum of
   # the diagonal basis elements
   gl2 = builtin_algebra("gl(2)")

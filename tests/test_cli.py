@@ -559,10 +559,18 @@ def test_unknown_algebra():
   assert run_cli("center", "--algebra", "su5")[0] == 2
 
 
-def test_bad_alpha_values():
+def test_bad_alpha_values(capsys):
   assert run_cli("classify", "--alpha", "1,,2")[0] == 2
   assert run_cli("classify", "--alpha", "2/4")[0] == 2
   assert run_cli("classify", "--alpha", "")[0] == 2
+  # an exact answer exists, but not a spectrum that can be printed
+  capsys.readouterr()
+  for command in ("classify", "spectrum"):
+    for fmt in ("text", "json"):
+      assert run_cli(command, "--alpha", f"1,{10**400}", "--format", fmt) == (
+          2, "")
+      assert capsys.readouterr().err == (
+          "error: alpha has an entry beyond float64's range\n")
 
 
 def test_truncate_error_paths(tmp_path):

@@ -8,8 +8,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liebundle.linalg import (frac_matrix, identity_matrix, in_span,
@@ -50,17 +51,45 @@ def matrix_strategy(max_rows=5, max_cols=5):
               min_size=m, max_size=m)))
 
 
+def circulant(alpha):
+  n = len(alpha)
+  return np.array([[alpha[(j - i) % n] for j in range(n)] for i in range(n)],
+                  dtype=np.int64)
+
+
+# elimination edge cases: no rows, no columns, all zero, zero rows between
+# duplicate rows, entries of 2^63 and more (Python integers), and a 64 x 64
+# circulant of 1 + x^32, of rank 32
+EDGE_CASES = (
+    np.zeros((0, 4), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64),
+    np.zeros((3, 4), dtype=np.int64),
+    [[0, 0, 0], [1, -2, 3], [0, 0, 0], [1, -2, 3], [0, 0, 0], [2, -4, 6]],
+    np.array([[2**63, 1, 0], [2**64, 2, 0], [5, 0, -2**70]], dtype=object),
+    circulant([1] + [0] * 31 + [1] + [0] * 31),
+)
+
+
+def with_edge_cases(test):
+  for rows in EDGE_CASES:
+    test = example(rows)(test)
+  return test
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrix_strategy())
+@with_edge_cases
 def test_rank_matches_gaussian_oracle(rows):
-  assert rank(rows) == gaussian_rank(rows)
+  assert rank(rows) == gaussian_rank(np.asarray(rows, dtype=object).tolist())
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrix_strategy())
+@with_edge_cases
 def test_nullspace_vectors_annihilate_and_span(rows):
   vecs = nullspace(rows)
-  ncols = len(rows[0])
+  ncols = np.shape(rows)[1]
+  rows = np.asarray(rows, dtype=object).tolist()
   assert len(vecs) == ncols - gaussian_rank(rows)
   for v in vecs:
     assert len(v) == ncols

@@ -65,6 +65,13 @@ def test_near_singular_tolerance_mismatch_is_caught():
     mu_spectrum(alpha)
 
 
+def test_alpha_beyond_float64_range_is_bad_input():
+  # an exact answer exists, but the spectrum it reports cannot be printed
+  for alpha in ((F(1), F(10**400)), (F(-10**400, 3),)):
+    with pytest.raises(ValueError, match="beyond float64's range"):
+      mu_spectrum(alpha)
+
+
 def test_tolerance_is_validated():
   with pytest.raises(ValueError):
     mu_spectrum((F(1), F(0)), tol=0.0)
