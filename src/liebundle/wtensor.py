@@ -395,58 +395,63 @@ def induced_structure_constants(w: WTensor, c: StructureConstants,
                           w.scale * c.scale)
 
 
-def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-  """sum_e x[..., e] y[e, ...], over the e where neither side is all zero."""
-  k = y.shape[0]
-  rows, cols = x.size // k, y.size // k
-  live = np.flatnonzero((x != 0).reshape(rows, k).any(axis=0)
-                        & (y != 0).reshape(k, cols).any(axis=1))
-  out = x[..., live].reshape(rows, -1) @ y[live].reshape(-1, cols)
-  return out.reshape(x.shape[:-1] + y.shape[1:])
-
-
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
   """x[j, k, t] * y[b, c, f] laid out as [(j, b), (k, c), (t, f)]."""
-  n, d = x.shape[0], y.shape[0]
-  nd = n * d
   return (x[:, None, :, None, :, None] * y[None, :, None, :, None, :]).reshape(
-      nd, nd, nd)
+      (x.shape[0] * y.shape[0],) * 3)
 
 
-def _certify_factorised(wd: np.ndarray, cd: np.ndarray,
-                        scale: int) -> JacobiReport:
-  """Jacobi residual of the extension bracket from its two factors.
+def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
+                      scale: int) -> JacobiReport:
+  """Jacobi residual of the extension bracket through G's Jacobi identity.
 
-  [[e_ia, e_jb], e_kc] = A[i, j, k, :] (x) D[a, b, c, :] with
-  A[i, j, k, t] = sum_s W^{ij}_s W^{sk}_t and D[a, b, c, :] = [[e_a, e_b], e_c],
-  so the residual [[u, v], t] + [[v, t], u] - [[u, t], v] at u = (i, a),
-  v = (j, b), t = (k, c) is A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb).
-  It is evaluated on the cleared copies ``wd`` and ``cd`` (see
-  ``jacobi_certify``) for one leading index u at a time, an (nd)^3 block.
+  At u = (i, a), v = (j, b), t = (k, c), [[u, v], t] + [[v, t], u] -
+  [[u, t], v] is A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb), with
+  A(ijk) = sum_s W^{ij}_s W^{sk}_t and D(abc) = [[e_a, e_b], e_c].  G is Lie
+  (checked), so D(acb) = p + q, p = D(abc), q = D(bca), and the block of u
+  is x p^T + y q^T, x = A(ijk) - A(ikj), y = A(jki) - A(ikj): zero iff its
+  column at the first nonzero row (ps, qs) of [p q] is zero and [p q] has
+  rank below 2 or x = y = 0.  Nonzero blocks are built in u order until one
+  has an entry u < v < t; for a symmetric W the first one has.
   """
   n, d = wd.shape[0], cd.shape[0]
-  nd = n * d
-  later = np.triu(np.ones((nd, nd), dtype=bool), 1)  # later[v, t]: t > v
-  d_parts: dict[int, tuple] = {}  # a -> its D parts, kept for blocks i > 0
-  for i in range(n):
-    # A[i, j, k, t] and A[j, k, i, t], each at [j, k, t]
-    a1 = _contract(wd[i], wd)
-    a2 = _contract(wd, wd[:, i])
-    for a in range(d):
-      u = i * d + a
-      # D[a, b, c, f] and D[b, c, a, f], each at [b, c, f]
-      if a not in d_parts:
-        d_parts[a] = _contract(cd[a], cd), _contract(cd, cd[:, a])
-      d1, d2 = d_parts.pop(a) if n == 1 else d_parts[a]
-      # A(ikj) D(acb) at [v, t] is A(ijk) D(abc) at [t, v]
-      o = _outer(a1, d1)
-      r = o - o.transpose(1, 0, 2) + _outer(a2, d2)
-      hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
-      if len(hits):
-        v, t, f = (int(x) for x in hits[0])
-        v += u + 1
-        residual = Fraction(int(r[v, t, f]), scale**2)
-        return JacobiReport(ok=False, violation=(u, v, t, f), residual=residual)
+  left, right = cd.reshape(d * d, d), cd.reshape(d, d * d)
+  parts, step = [], max(1, 2**18 // d**3)  # a per pass: 2^18 entries of D
+  for a0 in range(0, d, step):
+    p = (left[a0 * d:(a0 + step) * d] @ right).reshape(-1, d, d, d)
+    q = (left @ cd[:, a0:a0 + step].reshape(d, -1)).reshape(d, d, -1, d)
+    q = q.transpose(2, 0, 1, 3)  # p = D(abc), q = D(bca) at [a, b, c, f]
+    jacobiator = p - p.transpose(0, 2, 1, 3) + q  # D(abc) - D(acb) + D(bca)
+    if jacobiator.any():
+      a, b, c, f = (int(x) for x in np.argwhere(jacobiator)[0] + (a0, 0, 0, 0))
+      raise ValueError(f"algebra fails Jacobi at {(a, b, c, f)}")
+    p, q = (x.reshape(len(x), -1) for x in (p, q))
+    first = ((p != 0) | (q != 0)).argmax(axis=1)[:, None]
+    ps, qs = np.take_along_axis(p, first, 1), np.take_along_axis(q, first, 1)
+    # q = p^T - p, so [p q] has rank below 2 iff q = 0 or q = -2p
+    parts.append((ps[:, 0], qs[:, 0], (q != 0).any(1) & (q != -2 * p).any(1)))
+  ps, qs, rank2 = (np.concatenate(x) for x in zip(*parts))
+  if not (ps.any() or qs.any()):  # D = 0: G is 2-step nilpotent
+    return JacobiReport(ok=True)
+  aw = (wd.reshape(n * n, n) @ wd.reshape(n, n * n)).reshape(n, n, n, n)
+  # A(ijk), A(jki) and A(ikj) at [i, (j, k, t)]
+  orders = np.stack([aw, aw.transpose(2, 0, 1, 3), aw.transpose(0, 2, 1, 3)])
+  coef = np.stack([ps, qs, -(ps + qs)], axis=1)
+  column = (coef @ orders.reshape(3, -1) != 0).reshape(d, n, -1).any(axis=2)
+  same = (orders == orders[2]).reshape(3, n, -1)
+  blocks = column.T | rank2 & ~(same[0] & same[1]).all(axis=1)[:, None]
+  later = np.triu(np.ones((n * d,) * 2, dtype=bool), 1)  # later[v, t]: t > v
+  for u in np.flatnonzero(blocks).tolist():
+    i, a = divmod(u, d)
+    # A(ikj) D(acb) at [v, t] is A(ijk) D(abc) at [t, v]
+    o = _outer(aw[i], (left[a * d:a * d + d] @ right).reshape(d, d, d))
+    r = o - o.transpose(1, 0, 2) + _outer(aw[:, :, i],
+                                          (left @ cd[:, a]).reshape(d, d, d))
+    hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
+    if len(hits):
+      v, t, f = (int(x) for x in hits[0] + (u + 1, 0, 0))
+      return JacobiReport(ok=False, violation=(u, v, t, f),
+                          residual=Fraction(int(r[v, t, f]), scale**2))
   return JacobiReport(ok=True)
 
 
@@ -483,16 +488,10 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
                    cap: int = DEFAULT_CAP) -> JacobiReport:
   """Certify Jacobi for the extension bracket on G^n over basis triples.
 
-  The residual [[x, y], z] + [[y, z], x] - [[x, z], y] of basis triples is
-  computed from the factorised formula of ``_certify_factorised``.
-  Violations carry flat indices (u, v, t, f) with u < v < t, f = s*d + e,
-  the lexicographically first.  When W is symmetric in its upper indices the
-  extension bracket is the one of ``induced_structure_constants``, and the
-  report is cross-checked against the Jacobiator of that table
-  (``_certify_induced``): any difference raises InternalCheckError.  An
-  asymmetric W has no such table (the induced one stores u < v only), so
-  its report comes from the factorised route.  Both routes read W's cleared
-  numerators and G's.
+  The first violation (u, v, t, f), u < v < t, f = s*d + e, comes from G's
+  Jacobi identity (``_certify_rank_two``; ValueError if G fails it).  For a
+  symmetric W the Jacobiator of the induced table (``_certify_induced``)
+  must give the same report, or InternalCheckError is raised.
   """
   n, d = w.n, c.dim
   _check_extension_dim(n * d, cap)
@@ -501,12 +500,12 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   bound = 3 * n * d * (max(w.max_abs, 1) * max(c.max_abs, 1))**2
   dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
   wd, cd = w.dense.astype(dtype), c.dense.astype(dtype)
-  report = _certify_factorised(wd, cd, w.scale * c.scale)
+  report = _certify_rank_two(wd, cd, w.scale * c.scale)
   if _symmetry_violation(wd) is None:
     table = _certify_induced(wd, cd, w.scale * c.scale)
     if report != table:
       raise InternalCheckError(
-          f"certify routes disagree: factorised={report!r} table={table!r}")
+          f"certify routes disagree: rank-two={report!r} table={table!r}")
   return report
 
 

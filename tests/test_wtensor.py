@@ -1,6 +1,7 @@
 """W-tensor families, validation routes, truncation, extensions, JSON."""
 
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -21,7 +22,7 @@ from liebundle import (InternalCheckError, JacobiReport, SizeCapError, WTensor,
                        wtensor_from_json, wtensor_to_json, wtensor_validate)
 from liebundle import (center_basis, make_structure_constants, so_sym_bundle,
                        wtensor)
-from liebundle.linalg import identity_matrix, mats_equal, nullspace
+from liebundle.linalg import identity_matrix, mats_equal, nullspace, rank
 from liebundle.wtensor import MAX_N, _SLICE_BLOCK
 
 F = Fraction
@@ -651,6 +652,197 @@ def test_exactness_bound_of_the_induced_route(induced_route):
     rep = jacobi_certify(w, gl2)
     assert induced_route[-1] == (dtype, rep) and rep == table_scan(w, gl2)
     assert (rep.violation, rep.residual) == ((0, 1, 4, 1), 1)
+
+
+def factorised_oracle(w, c):
+  """The certify report by the loop of its first factorised route: for each
+  leading index u = (i, a), the (nd)^3 block A(ijk) D(abc) + A(jki) D(bca)
+  - A(ikj) D(acb) as two outer products of A and D parts, in Python
+  integers, scanned for its first entry with u < v < t."""
+  n, d = w.n, c.dim
+  nd = n * d
+  wd, cd = w.dense.astype(object), c.dense.astype(object)
+
+  def contract(x, y):  # sum_e x[..., e] y[e, ...]
+    k = y.shape[0]
+    return (x.reshape(-1, k) @ y.reshape(k, -1)).reshape(
+        x.shape[:-1] + y.shape[1:])
+
+  def outer(x, y):  # x[j, k, t] y[b, c, f] at [(j, b), (k, c), (t, f)]
+    return (x[:, None, :, None, :, None]
+            * y[None, :, None, :, None, :]).reshape(nd, nd, nd)
+
+  later = np.triu(np.ones((nd, nd), dtype=bool), 1)  # later[v, t]: t > v
+  for i in range(n):
+    # A[i, j, k, t] and A[j, k, i, t], each at [j, k, t]
+    a1, a2 = contract(wd[i], wd), contract(wd, wd[:, i])
+    for a in range(d):
+      u = i * d + a
+      # D[a, b, c, f] and D[b, c, a, f], each at [b, c, f]; A(ikj) D(acb)
+      # at [v, t] is A(ijk) D(abc) at [t, v]
+      o = outer(a1, contract(cd[a], cd))
+      r = o - o.transpose(1, 0, 2) + outer(a2, contract(cd, cd[:, a]))
+      hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
+      if len(hits):
+        v, t, f = (int(x) for x in hits[0])
+        v += u + 1
+        return JacobiReport(ok=False, violation=(u, v, t, f), residual=F(
+            int(r[v, t, f]), (w.scale * c.scale)**2))
+  return JacobiReport(ok=True)
+
+
+def test_certify_matches_the_factorised_loop():
+  rng = random.Random(118)
+  algebras = [builtin_algebra(x) for x in ("sl2", "so3", "heisenberg3",
+                                           "gl(2)", "so(4)", "gl(3)")]
+  seen, count = set(), 0
+  while count < 300:
+    for g in algebras:
+      n = rng.randint(1, max(1, 15 // g.dim))
+      tensors = random_certify_tensors(rng, n)
+      w = rng.choice(tensors)  # entries of 2^63 and more, fractions kept
+      tensors.append(make_wtensor(n, {key: v * (2**63 + rng.randint(0, 5))
+                                      for key, v in w.entries.items()}))
+      for w in tensors:
+        rep = jacobi_certify(w, g)
+        assert rep == factorised_oracle(w, g), (w.entries, g.name)
+        symmetric = all(w.entries.get((j, i, s)) == v
+                        for (i, j, s), v in w.entries.items())
+        seen.add((symmetric, rep.ok, w.max_abs >= 2**63, w.scale > 1))
+        count += 1
+  assert {x[:2] for x in seen} == {(True, True), (True, False),
+                                   (False, True), (False, False)}
+  assert {x[2] for x in seen} == {x[3] for x in seen} == {True, False}
+
+
+def factor_parts(w, c):
+  """A[i, j, k, t] = sum_s W^{ij}_s W^{sk}_t and D[a, b, c, f] =
+  [[e_a, e_b], e_c]_f on the cleared numerators, in Python integers."""
+  wd, cd = w.dense.astype(object), c.dense.astype(object)
+  return (np.einsum("ijs,skt->ijkt", wd, wd),
+          np.einsum("abe,ecf->abcf", cd, cd))
+
+
+def residual_blocks(w, c):
+  """The residual A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb) at every
+  (u, v, t, f), u = (i, a), v = (j, b), t = (k, c), over (w.scale c.scale)^2,
+  with no use of G's Jacobi identity."""
+  aw, dd = factor_parts(w, c)
+  nd = w.n * c.dim
+  return (np.einsum("ijkt,abcf->iajbkctf", aw, dd)
+          + np.einsum("jkit,bcaf->iajbkctf", aw, dd)
+          - np.einsum("ikjt,acbf->iajbkctf", aw, dd)).reshape((nd,) * 4)
+
+
+def block_parts(w, c, i, a):
+  """x, y, p, q of block u = (i, a): the block is x p^T + y q^T once G's
+  Jacobi identity gives D(acb) = D(abc) + D(bca)."""
+  aw, dd = factor_parts(w, c)
+  x = aw[i] - aw[i].transpose(1, 0, 2)
+  y = aw[:, :, i] - aw[i].transpose(1, 0, 2)
+  return x.ravel(), y.ravel(), dd[a].ravel(), dd[:, :, a].ravel()
+
+
+def test_every_branch_of_the_block_zero_test(monkeypatch):
+  sl2, h3 = builtin_algebra("sl2"), builtin_algebra("heisenberg3")
+  # [[e_0, b], c] is symmetric in (b, c) here, so q = 0 at a = 0
+  r2 = make_structure_constants(2, {(0, 1): {0: -1}})
+  # nilpotent, with [[e_0, b], c] antisymmetric in (b, c): q = -2p at a = 0
+  n7 = make_structure_constants(7, {(0, 1): {2: 1}, (0, 3): {4: 1},
+                                    (1, 3): {6: 1}, (1, 4): {5: 1},
+                                    (2, 3): {5: 1}, (0, 6): {5: 2}})
+  assert validate_structure_constants(n7).ok
+  built = []  # every (nd)^3 block is two outer products; a table is one
+  outer = wtensor._outer
+  monkeypatch.setattr(wtensor, "_outer", lambda x, y: (
+      built.append(x.shape) or outer(x, y)))
+
+  def check(w, g, violation, blocks):
+    """The residual blocks of w over g, checking the report against the
+    oracle and the number of blocks built."""
+    built.clear()
+    rep = jacobi_certify(w, g)
+    assert rep == certify_oracle(w, g) and rep.violation == violation
+    table = all(w.entries.get((j, i, s)) == v
+                for (i, j, s), v in w.entries.items())
+    assert len(built) == 2 * blocks + table, (w.entries, g.name)
+    return residual_blocks(w, g)
+
+  # x = y = 0 for a valid W: no block is built, whatever the rank of [p q]
+  for i in range(2):
+    x, y, p, q = block_parts(direct_sum_w(2), sl2, i, 0)
+    assert not (x.any() or y.any()) and rank(np.stack([p, q])) == 2
+  assert not check(direct_sum_w(2), sl2, None, 0).any()
+  # x parallel to y, [p q] of rank 1 with p, q != 0: block 0 cancels
+  w = make_wtensor(3, {(0, 1, 2): -1, (0, 2, 1): -1, (1, 1, 2): 1,
+                       (2, 2, 2): -1})
+  x, y, p, q = block_parts(w, n7, 0, 0)
+  assert x.any() and y.any() and rank(np.stack([x, y])) == 1
+  assert p.any() and q.any() and rank(np.stack([p, q])) == 1
+  assert not check(w, n7, (1, 7, 17, 19), 1)[0].any()
+  # x = 0 != y: block 0 is zero where [p q] has rank 1 (q = 0), and it
+  # holds the violation where [p q] has rank 2
+  w = make_wtensor(2, {(0, 1, 0): 1, (1, 1, 1): -1})
+  for g, violation, rank_pq in ((r2, (1, 2, 3, 0), 1), (sl2, (0, 3, 4, 1), 2)):
+    x, y, p, q = block_parts(w, g, 0, 0)
+    assert not x.any() and y.any() and rank(np.stack([p, q])) == rank_pq
+    assert check(w, g, violation, 1)[0].any() == (rank_pq == 2)
+  # y = 0 != x over sl2: the column at (ps, qs) = (0, -4) vanishes, and
+  # only the rank of [p q] says the block is not zero
+  w = make_wtensor(2, {(1, 0, 0): -1, (0, 1, 1): 1})
+  x, y, p, q = block_parts(w, sl2, 0, 0)
+  assert x.any() and not y.any() and rank(np.stack([p, q])) == 2
+  assert check(w, sl2, (0, 1, 3, 1), 1)[0].any()
+  # independent x, y and p = q = 0: every block is zero, none is built
+  w = make_wtensor(2, {(0, 0, 1): 1, (1, 1, 0): 1})
+  for g in (h3, builtin_algebra("abelian(2)")):
+    x, y, p, q = block_parts(w, g, 0, 0)
+    assert rank(np.stack([x, y])) == 2 and not (p.any() or q.any())
+    assert not check(w, g, None, 0).any()
+  assert check(w, sl2, (0, 1, 3, 1), 1)[0].any()
+  # a one-sided W whose first three blocks are not zero but have no entry
+  # u < v < t, so the scan goes on to block 3
+  w = make_wtensor(3, {(2, 2, 0): 2, (1, 0, 1): -1, (1, 1, 2): -1})
+  r = check(w, sl2, (3, 4, 6, 1), 4)
+  assert all(r[u].any() for u in range(3)) and not any(
+      r[u, v, t].any() for u in range(3) for v in range(u + 1, 9)
+      for t in range(v + 1, 9))
+
+
+def test_certify_refuses_an_algebra_that_fails_jacobi():
+  # [e0, e1] = e2, [e0, e2] = e1, [e1, e2] = e1, as a table file may hold;
+  # in 40 dimensions the failure lies beyond the first pass over D
+  brackets = {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}}
+  for dim, shift in ((3, 0), (40, 37)):
+    bad = make_structure_constants(dim, {
+        (a + shift, b + shift): {e + shift: v for e, v in coeffs.items()}
+        for (a, b), coeffs in brackets.items()})
+    violation = validate_structure_constants(bad).violation
+    assert violation[0] == shift
+    for w in (direct_sum_w(1), make_wtensor(1, {})):  # W = 0 as well
+      with pytest.raises(ValueError, match=re.escape(f"at {violation}")):
+        jacobi_certify(w, bad)
+
+
+def test_exactness_bound_of_the_rank_two_route(monkeypatch):
+  # the rank-two route multiplies an A entry by a D entry, never two A
+  # entries: below the float64 bound its sums stay exact, while a product
+  # of two A entries of these tensors (about 2^49) would round
+  dtypes = []
+  route = wtensor._certify_rank_two
+  monkeypatch.setattr(wtensor, "_certify_rank_two", lambda wd, cd, scale: (
+      dtypes.append(wd.dtype) or route(wd, cd, scale)))
+  gl2 = builtin_algebra("gl(2)")  # Mc = 1, n*d = 8
+  top = isqrt((2**53 - 1) // 24)  # 24*top^2 < 2^53: float64
+  for w in (bd_minus_fc(top - 1, top, top - 1, top - 2),
+            make_wtensor(2, {(0, 1, 0): top, (0, 0, 1): top - 1,
+                             (0, 1, 1): top - 2, (1, 1, 0): top - 3})):
+    aw, _ = factor_parts(w, gl2)
+    big = sorted({abs(int(x)) for x in aw.flat})[-2:]
+    assert big[0] > 2**48 and float(big[0]) * float(big[1]) != big[0] * big[1]
+    rep = jacobi_certify(w, gl2)
+    assert dtypes[-1] == np.float64 and not rep.ok
+    assert rep == certify_oracle(w, gl2) == factorised_oracle(w, gl2)
 
 
 def test_valid_tensors_certify_over_every_algebra():
