@@ -266,10 +266,14 @@ def center_basis(c: StructureConstants) -> list[tuple[Fraction, ...]]:
   """Deterministic exact basis of the center {x : [x, y] = 0 for all y}.
 
   Solves the linear system sum_a x_a c_ab^e = 0 over all (b, e), on the
-  cleared numerators (row b*d + e, column a).
+  cleared numerators (row b*d + e, column a).  ``nullspace`` reads its basis
+  off the reduced form, which depends only on the row space, so it is given
+  each distinct row once, in order of first appearance.
   """
   d = c.dim
-  return nullspace(c.dense.transpose(1, 2, 0).reshape(d * d, d))
+  system = c.dense.transpose(1, 2, 0).reshape(d * d, d)
+  rows = dict.fromkeys(map(tuple, system.tolist()))
+  return nullspace(np.array(list(rows), dtype=system.dtype).reshape(-1, d))
 
 
 def mixed_jacobi_check(first: StructureConstants,

@@ -4,21 +4,22 @@ For alpha = (alpha_0..alpha_{n-1}) the numbers mu_i = sum_r alpha_r w^{-ri},
 w = exp(2*pi*I/n), diagonalize the family: the discrete Fourier transform
 turns the circulant tensor into mu_k at the (k, k, k) positions and zeros
 elsewhere, so the extension splits into m = #{mu_i != 0} copies of G plus an
-abelian complement.  Floats only ever *report* here -- whether a mu vanishes
-is decided by the exact rational rank of the circulant matrix
-C_ij = alpha_{(j-i) mod n}, which equals m over any field containing the
-alphas.  A mismatch between the float flags and the exact count raises
-InternalCheckError instead of guessing.
+abelian complement.  Floats only ever *report* here -- how many mu vanish is
+decided exactly, by which cyclotomic polynomials divide the integer
+polynomial A(x) = sum_r alpha_r x^r (cleared of denominators).  A mismatch
+between the float flags and the exact count raises InternalCheckError
+instead of guessing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import cleared, rank
+from .linalg import cleared
 from .rationals import as_fraction
 from .wtensor import MAX_N, WTensor
 
@@ -48,19 +49,61 @@ def _check_alpha(alpha) -> tuple:
   return alpha
 
 
+def _divmod_monic(poly: list[int], divisor: tuple[int, ...]):
+  """Quotient and remainder of integer polynomials, coefficients lowest
+  degree first, by a monic ``divisor`` (so no division is needed)."""
+  rem, k = list(poly), len(divisor) - 1
+  terms = [(j, v) for j, v in enumerate(divisor[:k]) if v]
+  quot = [0] * max(len(rem) - k, 0)
+  for i in reversed(range(len(quot))):
+    c = quot[i] = rem.pop()
+    if c:
+      for j, v in terms:
+        rem[i + j] -= c * v
+  return quot, rem
+
+
+@cache
+def _cyclotomic(m: int) -> tuple[int, ...]:
+  """Phi_m, lowest degree first: x^m - 1 divided by Phi_d for each d | m,
+  d < m.  Its degree is Euler's phi(m)."""
+  poly = [-1] + [0] * (m - 1) + [1]
+  for d in range(1, m):
+    if m % d == 0:
+      poly = _divmod_monic(poly, _cyclotomic(d))[0]
+  return tuple(poly)
+
+
 def circulant_rank_exact(alpha) -> int:
-  """Exact rank over Q of C_ij = alpha_{(j-i) mod n} (= number of nonzero mu)."""
-  nums, _ = cleared(_check_alpha(alpha))
-  r = np.arange(len(nums))
-  return rank(nums[(r - r[:, None]) % len(nums)])
+  """Number of nonzero mu, exactly; it is also the rank over Q of the
+  circulant matrix C_ij = alpha_{(j-i) mod n}.
+
+  mu_k = A(w^{-k}), and w^{-k} is a primitive m-th root of unity for
+  m = n / gcd(n, k), which holds for phi(m) of the k.  Phi_m is irreducible
+  over Q, so those mu vanish exactly when Phi_m divides A, or A folded
+  modulo x^m - 1, which Phi_m divides: the rank is n minus the sum of
+  deg Phi_m over the divisors m of n with that remainder zero.  The fold
+  sums Python integers, which cannot overflow.
+  """
+  nums = cleared(_check_alpha(alpha))[0].tolist()
+  n = len(nums)
+  zero = 0
+  for m in range(1, n + 1):
+    if n % m == 0:
+      phi = _cyclotomic(m)
+      folded = [sum(nums[k::m]) for k in range(m)]
+      if not any(_divmod_monic(folded, phi)[1]):
+        zero += len(phi) - 1
+  return n - zero
 
 
 def mu_spectrum(alpha, tol: float = DEFAULT_TOL) -> MuSpectrum:
   """Numerical mu values with exactly-decided zero flags.
 
   values[i] = sum_r alpha_r w^{-ri} is the forward DFT of alpha.  The flags
-  mark |mu_i| < tol; their count must reproduce n - rank(C) or the tolerance
-  is unusable for this input (InternalCheckError).
+  mark |mu_i| < tol; their count must reproduce the exact count of zero mu,
+  n - circulant_rank_exact(alpha), or the tolerance is unusable for this
+  input (InternalCheckError).
   """
   alpha = _check_alpha(alpha)
   n = len(alpha)

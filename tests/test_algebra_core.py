@@ -16,8 +16,9 @@ from liebundle import (InternalCheckError, ad_matrix, basis_vector,
                        structure_constants_from_json,
                        structure_constants_to_json, sum_bracket_table,
                        validate_structure_constants)
-from liebundle import induced_structure_constants, make_wtensor
+from liebundle import circulant_w, induced_structure_constants, make_wtensor
 from liebundle.algebra_core import so_matrix_basis
+from liebundle.linalg import nullspace
 
 
 F = Fraction
@@ -195,6 +196,27 @@ def test_center_oracles():
   z = cb[0]
   for a in range(4):
     assert bracket_eval(gl2, z, basis_vector(4, a)) == frac_vec(0, 0, 0, 0)
+
+
+def test_center_basis_matches_the_full_system():
+  # center_basis drops repeated rows; the basis of the whole
+  # d^2 x d system must not change, on int64 and on Python-integer tables
+  gl2 = builtin_algebra("gl(2)")
+  tables = [builtin_algebra(x) for x in ("heisenberg3", "sl2", "abelian(3)",
+                                         "gl(3)", "gl(4)", "so(5)", "so(6)")]
+  tables += [induced_structure_constants(circulant_w(alpha), gl2)
+             for alpha in ((F(1), F(1), F(0)), (F(1), F(1), F(1), F(1)))]
+  dtypes = set()
+  for c in tables:
+    for factor in (1, F(2**70, 3)):
+      scaled = make_structure_constants(
+          c.dim, {k: {e: v * factor for e, v in coeffs.items()}
+                  for k, coeffs in c.table.items()})
+      d = c.dim
+      full = scaled.dense.transpose(1, 2, 0).reshape(d * d, d)
+      assert center_basis(scaled) == nullspace(full), c.name
+      dtypes.add(scaled.dense.dtype)
+  assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_center_elements_annihilate_everything():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from liebundle import (InternalCheckError, basis_vector, bracket_eval,
                        invalid_witness_w, mu_spectrum, slice_matrix,
                        spectrum_report_json, transform_w, wtensor_validate)
 from liebundle.linalg import rank
+from liebundle.spectral import _cyclotomic
 
 F = Fraction
 
@@ -46,6 +48,67 @@ def test_rank_oracles():
   assert circulant_rank_exact((F(1), F(1))) == 1
 
 
+def poly_mul(a, b):
+  out = [0] * (len(a) + len(b) - 1)
+  for i, x in enumerate(a):
+    for j, y in enumerate(b):
+      out[i + j] += x * y
+  return out
+
+
+def planted_alpha(rng, n, factor):
+  """A random multiple of ``factor`` reduced modulo x^n - 1, so it keeps
+  every cyclotomic factor that ``factor`` shares with x^n - 1."""
+  alpha = [0] * n
+  product = poly_mul([rng.randint(-3, 3) for _ in range(n)], factor)
+  for r, v in enumerate(product):
+    alpha[r % n] += v
+  den = rng.choice((1, 2, 3))
+  return tuple(F(v, den) for v in alpha)
+
+
+def test_cyclotomic_polynomials():
+  for n in range(1, 65):
+    product = [1]
+    for d in range(1, n + 1):
+      if n % d == 0:
+        product = poly_mul(product, _cyclotomic(d))
+    assert product == [-1] + [0] * (n - 1) + [1], n
+    euler_phi = sum(gcd(k, n) == 1 for k in range(1, n + 1))
+    assert len(_cyclotomic(n)) - 1 == euler_phi, n
+
+
+def test_exact_rank_matches_the_circulant_matrix():
+  # the cyclotomic count against Bareiss on the explicit n x n matrix
+  rng = random.Random(2024)
+  cases = [(F(0),) * n for n in (1, 2, 12, 60, 64)]
+  cases += [(F(2**70), F(-2**70), F(3)), (F(2**70), F(2**70), F(-2**70))]
+  for case in range(320):
+    # many-divisor sizes every tenth case; Bareiss on a 64 x 64 matrix of
+    # 2^70-sized entries takes over a second, so those stay at n <= 20
+    n = rng.choice((60, 64)) if case % 10 == 0 else rng.randint(1, 40)
+    g = rng.randint(1, n)
+    kind = rng.randrange(3) if n > 20 else rng.randrange(5)
+    if kind == 0:
+      alpha = rand_alpha(rng, n)
+    elif kind == 1:
+      alpha = planted_alpha(rng, n, [-1] + [0] * (g - 1) + [1])
+    elif kind == 2:
+      alpha = planted_alpha(rng, n, [1, 1])
+    elif kind == 3:
+      alpha = tuple(F(rng.choice((0, 3, 2**70, -2**70))) for _ in range(n))
+    else:
+      alpha = tuple(F(rng.choice((0, 1, -1)) * 2**70 + rng.randint(-1, 1),
+                      rng.choice((1, 7)))
+                    for _ in range(n))
+    cases.append(alpha)
+  for alpha in cases:
+    n = len(alpha)
+    matrix = [[alpha[(j - i) % n] for j in range(n)] for i in range(n)]
+    assert circulant_rank_exact(alpha) == rank(matrix), alpha
+  assert circulant_rank_exact((F(2**70), F(-2**70), F(3))) == 3
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.data())
 def test_zero_count_matches_exact_rank(n, data):
@@ -63,6 +126,8 @@ def test_near_singular_tolerance_mismatch_is_caught():
   alpha = (F(1), F(-1) + F(1, 10**12))
   with pytest.raises(InternalCheckError):
     mu_spectrum(alpha)
+  with pytest.raises(InternalCheckError):
+    classify_circulant(alpha)
 
 
 def test_alpha_beyond_float64_range_is_bad_input():

@@ -824,6 +824,24 @@ def test_certify_refuses_an_algebra_that_fails_jacobi():
         jacobi_certify(w, bad)
 
 
+def test_rank_two_route_over_gl8_and_so11():
+  # n = 1 at dimensions 64 and 55, where D is read one a per pass and most
+  # (a, b) have [e_a, e_b] = 0.  certify_oracle takes minutes at this size;
+  # the Jacobi scan of the induced table is the oracle instead.
+  w = make_wtensor(1, {(0, 0, 0): F(3, 2)})
+  for name in ("gl(8)", "so(11)"):
+    c = builtin_algebra(name)
+    table = validate_structure_constants(induced_structure_constants(w, c))
+    assert jacobi_certify(w, c) == table == JacobiReport(ok=True)
+    # a bracket on the last pair whose row was zero breaks Jacobi
+    a, b = max((a, b) for a in range(c.dim) for b in range(a + 1, c.dim)
+               if (a, b) not in c.table)
+    bad = make_structure_constants(c.dim, {**c.table, (a, b): {0: 1}})
+    violation = validate_structure_constants(bad).violation
+    with pytest.raises(ValueError, match=re.escape(f"at {violation}")):
+      jacobi_certify(w, bad)
+
+
 def test_exactness_bound_of_the_rank_two_route(monkeypatch):
   # the rank-two route multiplies an A entry by a D entry, never two A
   # entries: below the float64 bound its sums stay exact, while a product
