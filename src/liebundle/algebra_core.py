@@ -3,8 +3,9 @@
 A bracket on a d-dimensional space is held as integers ``dense[a, b, e]``
 over a common ``scale`` (see ``linalg.cleared``), antisymmetric in (a, b),
 and read as the sparse view ``table[(a, b)] = {e: c_ab_e}`` for a < b.
-Everything here is exact: coefficients are Fractions and validation
-decisions never touch floats.
+Everything here is exact: coefficients are Fractions, and the Jacobi
+scans run on float64 only below the bound where it holds every integer they
+compute (``_exact_sum_dtype``).
 """
 
 from __future__ import annotations
@@ -220,46 +221,51 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
                    for b in range(c.dim)], dtype=object).T
 
 
-def _jacobi_scan(dim: int, pairs, sign: int = 1) -> JacobiReport:
-  """The table Jacobi scan, bilinear in the two brackets of each pair.
+# [v, t]: v < t; its [:n, :n] corner serves a table of dimension n
+_UPPER = np.triu(np.ones((MAX_DIM, MAX_DIM), dtype=bool), 1)
 
-  The residual at a basis triple is ``sign`` times the sum over (p, q) in
-  ``pairs`` of the cyclic sum of [[x, y]_p, z]_q.  It must be alternating in
-  the triple (a Jacobiator, or a sum of them), so triples a < b < c suffice;
-  the first violation is the lexicographically smallest (a, b, c) and,
-  within it, the smallest output component f.  The scan runs on sparse rows
-  rows[x][y] = {e: numerator of c_xy^e} of the tables' cleared arrays, put
-  over one common scale.
+
+def _exact_sum_dtype(bound: int):
+  """The dtype in which integer products and sums of magnitude at most
+  ``bound`` are computed exactly: float64 below 2^53 (it holds every such
+  integer, and BLAS multiplies it), int64 below 2^62, else object (Python
+  integers)."""
+  return np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+
+
+def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
+                sign: int = 1) -> JacobiReport:
+  """The first violation (u, v, t, f), u < v < t, of a Jacobi identity.
+
+  With B[u, v, t, f] = sum_g left[u, v, g] right[g, t, f], the residual is
+  ``sign`` * (B[u, v, t] + B[v, t, u] + B[t, u, v]) / ``scale``^2, which is
+  alternating, so u < v < t suffice, as ``left`` is antisymmetric in (u, v).
+  For each u it is P[v, t] - P[t, v] + B[v, t, u] with P[v, t] = B[u, v, t],
+  from two matrix products: P over v, t > u, and B[v, t, u] over the pairs
+  u < v < t, which are the last rows of left[v, t] over v < t in C order.
+  The dtype must hold every partial sum exactly (see ``_exact_sum_dtype``).
   """
-  scale = lcm(*(c.scale for pair in pairs for c in pair))
-  rows: dict[int, list[dict[int, dict[int, int]]]] = {}
-  for c in {id(c): c for pair in pairs for c in pair}.values():
-    rows[id(c)] = [{} for _ in range(dim)]
-    where = np.nonzero(c.dense)
-    factor = scale // c.scale
-    for x, y, e, v in zip(*(a.tolist() for a in where),
-                          c.dense[where].tolist()):
-      rows[id(c)][x].setdefault(y, {})[e] = v * factor
-  tables = [(rows[id(p)], rows[id(q)]) for p, q in pairs]
-  for a in range(dim):
-    for b in range(a + 1, dim):
-      for cc in range(b + 1, dim):
-        acc: dict[int, int] = {}
-        for first, second in tables:
-          for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
-            for e, q in first[x].get(y, {}).items():
-              for f, r in second[e].get(z, {}).items():
-                acc[f] = acc.get(f, 0) + q * r
-        for f in sorted(acc):
-          if acc[f] != 0:
-            return JacobiReport(ok=False, violation=(a, b, cc, f),
-                                residual=Fraction(sign * acc[f], scale**2))
+  n, g = left.shape[0], right.shape[0]
+  upper = _UPPER[:n, :n]  # its corner [:k, :k] is its [u + 1:, u + 1:]
+  pairs, columns = left[upper], right.reshape(g, n * n)
+  for u in range(n - 2):
+    k = n - u - 1
+    p = (left[u, u + 1:] @ columns[:, (u + 1) * n:]).reshape(k, k, n)
+    jac = pairs[len(pairs) - k * (k - 1) // 2:] @ right[:, u]
+    jac += (p - p.transpose(1, 0, 2))[upper[:k, :k]]
+    if np.count_nonzero(jac):
+      row, f = (int(x) for x in np.argwhere(jac)[0])
+      v, t = (int(x) for x in np.argwhere(upper[:k, :k])[row] + u + 1)
+      return JacobiReport(ok=False, violation=(u, v, t, f),
+                          residual=Fraction(sign * int(jac[row, f]), scale**2))
   return JacobiReport(ok=True)
 
 
 def validate_structure_constants(c: StructureConstants) -> JacobiReport:
-  """Scan the Jacobi identity over basis triples (see ``_jacobi_scan``)."""
-  return _jacobi_scan(c.dim, [(c, c)])
+  """Scan the Jacobi identity over basis triples (see ``_jacobiator``); a
+  residual sums 3d products of two cleared numerators."""
+  dense = c.dense.astype(_exact_sum_dtype(3 * c.dim * c.max_abs**2))
+  return _jacobiator(dense, dense, c.scale)
 
 
 def center_basis(c: StructureConstants) -> list[tuple[Fraction, ...]]:
@@ -285,10 +291,20 @@ def mixed_jacobi_check(first: StructureConstants,
   [[X2, X3]_1, X1]_2 + [[X2, X3]_2, X1]_1.  It vanishes identically iff the
   sum of the two brackets satisfies Jacobi.  The expression is a difference
   of Jacobiators, hence alternating: basis triples i < j < k suffice.
+  Over one scale, the tables A and B give both terms in one product of
+  [A | B] (joined along g) and [B ; A] (stacked along g).
   """
   if first.dim != second.dim:
     raise ValueError("brackets live on spaces of different dimension")
-  return _jacobi_scan(first.dim, [(first, second), (second, first)], sign=-1)
+  scale = lcm(first.scale, second.scale)
+  k1, k2 = scale // first.scale, scale // second.scale
+  # max(., 1): k itself is converted to dtype, also for a zero table
+  top = max(max(first.max_abs, 1) * k1, max(second.max_abs, 1) * k2)
+  dtype = _exact_sum_dtype(6 * first.dim * top**2)
+  a = np.multiply(first.dense, k1, dtype=dtype)
+  b = np.multiply(second.dense, k2, dtype=dtype)
+  return _jacobiator(np.concatenate([a, b], axis=2),
+                     np.concatenate([b, a]), scale, sign=-1)
 
 
 def _combine(first: StructureConstants, second: StructureConstants,
@@ -315,6 +331,8 @@ def compatibility_check(first: StructureConstants,
   route and the validate-the-sum route are both evaluated and must agree;
   disagreement raises InternalCheckError.
   """
+  if first.dim != second.dim:
+    raise ValueError("brackets live on spaces of different dimension")
   r1 = validate_structure_constants(first)
   if not r1.ok:
     raise ValueError(f"first bracket fails Jacobi at {r1.violation}")

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra_core import (MAX_DIM, JacobiReport, StructureConstants,
-                           _from_numerators, basis_vector, bracket_eval)
+                           _exact_sum_dtype, _from_numerators, _jacobiator,
+                           basis_vector, bracket_eval)
 from .errors import InternalCheckError, SizeCapError
 from .linalg import (ClearedTable, cleared, frac_matrix, identity_matrix,
                      is_nilpotent, mats_equal)
@@ -457,31 +458,10 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
 
 def _certify_induced(wd: np.ndarray, cd: np.ndarray,
                      scale: int) -> JacobiReport:
-  """Jacobi scan of the induced table, densely, for a symmetric W.
-
-  The table T[(i,a), (j,b), (s,e)] = W^{ij}_s c_ab^e is the outer product
-  of the cleared copies ``wd`` and ``cd`` (see ``jacobi_certify``).  For
-  each leading index u, with P[x, y, f] = sum_g T[u, x, g] T[g, y, f], the
-  Jacobiator J(u, v, t)_f = [[u, v], t] + [[v, t], u] + [[t, u], v] is
-  P[v, t, f] - P[t, v, f] + sum_g T[v, t, g] T[g, u, f], two matrix products
-  over v, t > u.  T is antisymmetric, so J is alternating and its first
-  nonzero in C order has v < t: the lexicographically first (u, v, t, f),
-  the one ``_jacobi_scan`` reports on ``induced_structure_constants``.
-  """
+  """The table scan of T[(i,a), (j,b), (s,e)] = W^{ij}_s c_ab^e, the outer
+  product of ``wd`` and ``cd``, antisymmetric for a symmetric W."""
   table = _outer(wd, cd)
-  nd = table.shape[0]
-  for u in range(nd - 2):
-    k = nd - u - 1
-    p = table[u, u + 1:].dot(table[:, u + 1:].reshape(nd, k * nd))
-    p = p.reshape(k, k, nd)
-    jac = p - p.transpose(1, 0, 2) + table[u + 1:, u + 1:].reshape(
-        k * k, nd).dot(table[:, u]).reshape(k, k, nd)
-    hits = np.argwhere(jac != 0)
-    if len(hits):
-      v, t, f = (int(x) for x in hits[0])
-      return JacobiReport(ok=False, violation=(u, u + 1 + v, u + 1 + t, f),
-                          residual=Fraction(int(jac[v, t, f]), scale**2))
-  return JacobiReport(ok=True)
+  return _jacobiator(table, table, scale)
 
 
 def jacobi_certify(w: WTensor, c: StructureConstants,
@@ -498,7 +478,7 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   # a partial sum in either route adds at most 3*n*d products of two table
   # entries W^{ij}_s c_ab^e; max(., 1) bounds each factor's own entries too
   bound = 3 * n * d * (max(w.max_abs, 1) * max(c.max_abs, 1))**2
-  dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
+  dtype = _exact_sum_dtype(bound)
   wd, cd = w.dense.astype(dtype), c.dense.astype(dtype)
   report = _certify_rank_two(wd, cd, w.scale * c.scale)
   if _symmetry_violation(wd) is None:

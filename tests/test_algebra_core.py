@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebundle import (InternalCheckError, ad_matrix, basis_vector,
+from liebundle import (InternalCheckError, JacobiReport, ad_matrix, basis_vector,
                        bracket_eval, builtin_algebra, center_basis,
                        coboundary_of_one_cochain, compatibility_check,
                        make_structure_constants, mixed_jacobi_check,
@@ -17,6 +18,7 @@ from liebundle import (InternalCheckError, ad_matrix, basis_vector,
                        structure_constants_to_json, sum_bracket_table,
                        validate_structure_constants)
 from liebundle import circulant_w, induced_structure_constants, make_wtensor
+from liebundle import algebra_core
 from liebundle.algebra_core import so_matrix_basis
 from liebundle.linalg import nullspace
 
@@ -414,3 +416,222 @@ def test_computed_tables_are_canonical():
             coboundary_of_one_cochain(big, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])):
     assert_canonical(c, {(0, 1): {2: 2**63}})
     assert c.dense.dtype == object
+
+
+# ---------------------------------------------------------------------------
+# the table scans against an independent sparse loop
+
+
+def sparse_jacobi_oracle(dim, pairs, sign=1):
+  """The table Jacobi scan as a loop over sparse rows, bilinear in the two
+  brackets of each pair.
+
+  The residual at a basis triple is ``sign`` times the sum over (p, q) in
+  ``pairs`` of the cyclic sum of [[x, y]_p, z]_q, which is alternating for
+  a Jacobiator or a sum of them, so triples a < b < c suffice; the first
+  violation is the lexicographically smallest (a, b, c) and, within it, the
+  smallest output component f.  Rows rows[x][y] = {e: numerator of c_xy^e}
+  hold the tables' cleared arrays over one common scale, in Python integers.
+  """
+  scale = lcm(*(c.scale for pair in pairs for c in pair))
+  rows = {}
+  for c in {id(c): c for pair in pairs for c in pair}.values():
+    rows[id(c)] = [{} for _ in range(dim)]
+    where = np.nonzero(c.dense)
+    factor = scale // c.scale
+    for x, y, e, v in zip(*(a.tolist() for a in where),
+                          c.dense[where].tolist()):
+      rows[id(c)][x].setdefault(y, {})[e] = v * factor
+  tables = [(rows[id(p)], rows[id(q)]) for p, q in pairs]
+  for a in range(dim):
+    for b in range(a + 1, dim):
+      for cc in range(b + 1, dim):
+        acc = {}
+        for first, second in tables:
+          for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
+            for e, q in first[x].get(y, {}).items():
+              for f, r in second[e].get(z, {}).items():
+                acc[f] = acc.get(f, 0) + q * r
+        for f in sorted(acc):
+          if acc[f] != 0:
+            return JacobiReport(ok=False, violation=(a, b, cc, f),
+                                residual=F(sign * acc[f], scale**2))
+  return JacobiReport(ok=True)
+
+
+def assert_scans_match_the_oracle(first, second):
+  """validate, mixed and compat's sum route on a pair against the oracle;
+  returns the compatibility report, or None if a bracket fails Jacobi."""
+  d = first.dim
+  reports = [validate_structure_constants(c) for c in (first, second)]
+  for c, rep in zip((first, second), reports):
+    assert rep == sparse_jacobi_oracle(d, [(c, c)])
+  assert mixed_jacobi_check(first, second) == sparse_jacobi_oracle(
+      d, [(first, second), (second, first)], sign=-1)
+  if not all(reports):
+    with pytest.raises(ValueError, match="fails Jacobi"):
+      compatibility_check(first, second)
+    return None
+  total = sum_bracket_table(first, second)
+  rep = compatibility_check(first, second)
+  assert rep.sum_jacobi == sparse_jacobi_oracle(d, [(total, total)])
+  return rep
+
+
+# non-abelian building blocks of dimension 2, 3, 4 and 6, and abelian(1)
+R2 = make_structure_constants(2, {(0, 1): {0: 1}})
+BLOCKS = [R2] + [builtin_algebra(x) for x in (
+    "sl2", "so3", "heisenberg3", "gl(2)", "so(4)", "abelian(1)")]
+
+
+def direct_sum(blocks):
+  brackets, shift = {}, 0
+  for c in blocks:
+    for (a, b), coeffs in c.table.items():
+      brackets[(a + shift, b + shift)] = {e + shift: v
+                                          for e, v in coeffs.items()}
+    shift += c.dim
+  return make_structure_constants(shift, brackets)
+
+
+def change_basis(c, rng):
+  """The integer table c in a random rational basis: the columns of P, a
+  permutation and two integer shears (with P^-1 integer too), each then
+  rescaled by a random rational."""
+  d = c.dim
+  perm = rng.sample(range(d), d)
+  p, q = np.eye(d, dtype=np.int64)[:, perm], np.eye(d, dtype=np.int64)[perm]
+  for _ in range(2):
+    i, j = rng.sample(range(d), 2)
+    lam = rng.choice((1, -1, 2))
+    p[:, j] += lam * p[:, i]  # P <- P (I + lam e_i e_j^T)
+    q[i] -= lam * q[j]  # P^-1 <- (I - lam e_i e_j^T) P^-1
+  # t[a, b, e] = sum P[i, a] P[j, b] c[i, j, k] Q[e, k]
+  t = np.tensordot(c.dense, q, axes=([2], [1]))
+  t = np.tensordot(p, np.tensordot(p, t, axes=([0], [0])), axes=([0], [1]))
+  t = t.transpose(1, 0, 2)
+  # with basis vectors scaled by s, [x_a, x_b] = s_a s_b / s_e t_ab^e x_e
+  s = [F(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 3))) for _ in range(d)]
+  return make_structure_constants(d, {
+      (a, b): {e: s[a] * s[b] / s[e] * int(t[a, b, e])
+               for e in range(d) if t[a, b, e]}
+      for a in range(d) for b in range(a + 1, d)})
+
+
+def seeded_table(rng, d):
+  """A rational Lie table of dimension d (a direct sum of blocks, the first
+  non-abelian, in a random basis), and 3 times in 5 one bracket changed;
+  halved until it is not integral."""
+  blocks = [rng.choice([b for b in BLOCKS[:-1] if b.dim <= d])]
+  while sum(b.dim for b in blocks) < d:
+    room = d - sum(b.dim for b in blocks)
+    blocks.append(rng.choice([b for b in BLOCKS if b.dim <= room]))
+  c = change_basis(direct_sum(blocks), rng)
+  brackets = {k: dict(v) for k, v in c.table.items()}
+  if rng.random() < 0.6:
+    a, b = sorted(rng.sample(range(d), 2))
+    e = rng.randrange(d)
+    coeffs = brackets.setdefault((a, b), {})
+    delta = F(rng.choice((1, -1)), rng.choice((1, 2)))
+    coeffs[e] = coeffs.get(e, 0) + delta or delta  # never cancels to 0
+  c = make_structure_constants(d, brackets)
+  while c.scale == 1:
+    c = make_structure_constants(d, {k: {e: v / 2 for e, v in coeffs.items()}
+                                     for k, coeffs in c.table.items()})
+  return c
+
+
+def test_scans_match_the_sparse_oracle_on_seeded_tables():
+  rng = random.Random(2024)
+  tables = failing = compatible = 0
+  for d in range(2, 10):
+    group = [seeded_table(rng, d) for _ in range(126)]
+    for first, second in zip(group, group[1:] + group[:1]):
+      assert first.scale > 1
+      rep = assert_scans_match_the_oracle(first, second)
+      tables += 1
+      failing += not validate_structure_constants(first).ok
+      compatible += bool(rep)
+  assert tables >= 1000 and 0.4 < failing / tables < 0.6 and compatible
+
+
+def test_scans_match_the_sparse_oracle_on_builtins():
+  names = ["heisenberg3", "sl2", "so3", "abelian(4)"]
+  names += [f"so({p})" for p in range(2, 12)] + [f"gl({p})" for p in range(2, 9)]
+  failing = 0
+  for name in names:
+    c = builtin_algebra(name)
+    assert assert_scans_match_the_oracle(c, c)
+    # a bracket [e_a, e_b] = e_0 on the last pair whose bracket is zero
+    pairs = [(a, b) for a in range(c.dim) for b in range(a + 1, c.dim)
+             if (a, b) not in c.table]
+    if pairs:
+      bad = make_structure_constants(c.dim, {**c.table, max(pairs): {0: 1}})
+      failing += assert_scans_match_the_oracle(c, bad) is None
+  assert failing >= 15
+
+
+def test_scans_match_the_sparse_oracle_on_so_bundles():
+  # so(p) against its bundle [x, y]_a = x a y - y a x is compatible; with
+  # basis vectors 0 and 1 of the bundle swapped it need not be
+  rng = random.Random(5)
+  verdicts = set()
+  for p in (3, 4, 5):
+    for _ in range(4):
+      a = [[0] * p for _ in range(p)]
+      for i in range(p):
+        for j in range(i, p):
+          a[i][j] = a[j][i] = F(rng.randint(-3, 3), rng.randint(1, 3))
+      bundle = so_sym_bundle(p, a)
+      swap = {0: 1, 1: 0}
+      swapped = make_structure_constants(bundle.dim, {
+          tuple(sorted((swap.get(x, x), swap.get(y, y)))):
+          {swap.get(e, e): v if swap.get(x, x) < swap.get(y, y) else -v
+           for e, v in coeffs.items()}
+          for (x, y), coeffs in bundle.table.items()})
+      so = builtin_algebra(f"so({p})")
+      assert assert_scans_match_the_oracle(so, bundle).compatible
+      verdicts.add(assert_scans_match_the_oracle(so, swapped).compatible)
+  assert verdicts == {True, False}
+
+
+def test_exactness_bound_of_the_table_scan(monkeypatch):
+  # a residual of validation sums 3d products of two cleared numerators,
+  # each at most M: float64 below 3*d*M^2 < 2^53, int64 below 2^62, object
+  # arrays from there on; the mixed check sums 6d such products
+  calls = []
+  scan = algebra_core._jacobiator
+  monkeypatch.setattr(algebra_core, "_jacobiator", lambda *args, **kw: (
+      calls.append(args[0].dtype) or scan(*args, **kw)))
+
+  def table(x, y, z, w):
+    """[e0, e2] = z e1 + x e2, [e1, e2] = w e1 + y e2: the only residual
+    is x w - y z, at (0, 1, 2, 1)."""
+    return make_structure_constants(3, {(0, 2): {1: z, 2: x},
+                                        (1, 2): {1: w, 2: y}})
+
+  m = 2**27  # (m + 1)^2 - m(m + 2) = 1, but (m + 1)^2 rounds to m(m + 2)
+  big = table(2**63 + 1, 2**63, 2**63 + 2, 2**63 + 1)
+  assert big.dense.dtype == object  # numerators beyond 2^63
+  cases = [(table(m + 1, m, m + 2, m + 1), np.int64, np.int64),
+           (big, object, object)]
+  for bits, below, above in ((53, np.float64, np.int64), (62, np.int64, object)):
+    top = isqrt((2**bits - 1) // 9)  # 9*top^2 < 2^bits <= 9*(top + 1)^2
+    cases += [(table(top - 1, top - 2, top, top - 1), below, above),
+              (table(top, top - 1, top + 1, top), above, above)]
+  for c, dtype, mixed_dtype in cases:
+    calls.clear()
+    assert validate_structure_constants(c) == JacobiReport(
+        ok=False, violation=(0, 1, 2, 1), residual=F(1))
+    # mixed Jacobi of a bracket with itself is minus twice its Jacobiator
+    assert mixed_jacobi_check(c, c) == JacobiReport(
+        ok=False, violation=(0, 1, 2, 1), residual=F(-2))
+    assert calls == [dtype, mixed_dtype]
+
+
+def test_tables_of_different_dimension_are_refused():
+  so3, gl2 = builtin_algebra("so3"), builtin_algebra("gl(2)")
+  for check in (mixed_jacobi_check, sum_bracket_table, compatibility_check):
+    with pytest.raises(ValueError, match=r"^brackets live on spaces of "
+                       r"different dimension$"):
+      check(so3, gl2)

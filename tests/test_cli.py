@@ -423,6 +423,15 @@ def test_compat_invalid_input_bracket(workdir):
   assert code == 2
 
 
+def test_compat_refuses_brackets_of_different_dimension(workdir, capsys):
+  _, write = workdir
+  from liebundle import builtin_algebra, structure_constants_to_json
+  so3, gl2 = (write(f"{name}.json", structure_constants_to_json(
+      builtin_algebra(name))) for name in ("so3", "gl(2)"))
+  assert run_cli("compat", "--first", so3, "--second", gl2) == (2, "")
+  assert "different dimension" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sandwich-check / poisson-bracket
 
