@@ -14,6 +14,7 @@ Exit codes: 0 = pass / produced output, 1 = a checked property failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -283,7 +284,10 @@ def _add_format(sub) -> None:
                    help="output format (default: text)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+  """The parser of every subcommand, built once per process; argparse keeps
+  no state between ``parse_args`` calls."""
   parser = argparse.ArgumentParser(
       prog="liebundle",
       description="exact universal Lie bracket extensions: construction, "

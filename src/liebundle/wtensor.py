@@ -9,8 +9,14 @@ upper indices and the quadratic identity
     sum_k (W^{sk}_i W^{qp}_k - W^{qk}_i W^{sp}_k) = 0   for all i, s, q, p
 
 holds; equivalently, iff the slice matrices (W^(k))_i^j = W^{kj}_i commute
-pairwise.  Both routes are implemented and can be cross-checked against each
-other.
+pairwise.  Validation evaluates the identity on its nonzero products alone
+(an entry join, whose cost follows the P = sum_k up(k) low(k) products of
+entries W^{sk}_i and W^{qp}_k) when that costs less than the n^5
+multiply-adds of the slice commutators, and the slice commutators
+otherwise; sparse families such as Leibnitz, direct sums and their
+deformations take the join, dense circulants the slices.  The dense direct
+contraction of the identity cross-checks either: a second formula for the
+slices, a second evaluation, over every product, for the join.
 """
 
 from __future__ import annotations
@@ -229,6 +235,73 @@ def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
                            residual=Fraction(int(raw), scale * scale))
 
 
+# products W^{sk}_i W^{qp}_k per chunk of whole lower indices i: the chunk's
+# arrays stay near 1 MB; chunks of 2^16 products raised the peak memory
+# of a ``tables`` benchmark run from 46.6 to 49.8 MB and gained no speed
+_JOIN_CHUNK = 2**13
+# cost of one joined product in slice multiply-adds (n^5 per tensor): on one
+# core the join took 50-140 ns per product over whole scans of Leibnitz,
+# deformed, direct-sum and random sparse tensors with n = 32..64, and the
+# slice products about 0.055 ns per multiply-add at n = 64, a ratio of about
+# 950-2,450; the upper end keeps the join from tensors it would not speed up
+_JOIN_COST = 2048
+
+
+def _validate_by_join(dense: np.ndarray, scale: int) -> WValidationReport:
+  """Quadratic identity of a symmetric W from its cleared dense copy
+  (float64 or object, see ``_exact_dtype``), evaluated on its nonzero
+  products only: each entry W^{sk}_i joins the entries W^{qp}_k with lower
+  index k, and for s != q adds +-W^{sk}_i W^{qp}_k at (i, min(s,q),
+  max(s,q), p), the residual of the direct contraction with s < q.
+
+  A key sums at most 2*n products, the bound of ``_exact_dtype``.  Whole
+  lower indices i are summed in ascending chunks, so the first chunk with a
+  nonzero sum holds the lexicographically first (i, s, q, p)."""
+  n = dense.shape[0]
+  flat = np.flatnonzero(dense)
+  flat = flat[np.argsort(flat % n, kind="stable")]  # C order of [i, s, k]
+  vals = dense.ravel()[flat]
+  up_s, up_k, low_i = np.unravel_index(flat, dense.shape)
+  # entries of lower index k are bounds[k]:bounds[k + 1]
+  bounds = np.searchsorted(low_i, np.arange(n + 1))
+  width = np.diff(bounds)[up_k]  # partners of each entry
+  ends = np.concatenate(([0], np.cumsum(width)))  # products before an entry
+  i0 = 0
+  while i0 < n:
+    i1 = i0 + 1  # whole lower indices, at least one, up to _JOIN_CHUNK
+    while i1 < n and ends[bounds[i1 + 1]] - ends[bounds[i0]] <= _JOIN_CHUNK:
+      i1 += 1
+    e0, e1 = bounds[i0], bounds[i1]
+    i0 = i1
+    # product t of entry e (of lower index k) has partner bounds[k] + t -
+    # ends[e]
+    size = width[e0:e1]
+    first = np.repeat(np.arange(e0, e1), size)
+    second = np.arange(ends[e0], ends[e1]) + np.repeat(
+        bounds[up_k[e0:e1]] - ends[e0:e1], size)
+    s, q = up_s[first], up_s[second]
+    keep = s != q
+    if not keep.any():
+      continue
+    first, second, s, q = first[keep], second[keep], s[keep], q[keep]
+    key = ((low_i[first] * n + np.minimum(s, q)) * n
+           + np.maximum(s, q)) * n + up_k[second]  # C order of (i, s, q, p)
+    prod = vals[first] * vals[second]
+    prod = np.where(s < q, prod, -prod)
+    order = np.argsort(key, kind="stable")  # the fastest kind measured
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sums = np.add.reduceat(prod[order], starts)
+    hits = np.flatnonzero(sums)
+    if len(hits):
+      indices = np.unravel_index(key[starts[hits[0]]], (n,) * 4)
+      return WValidationReport(
+          ok=False, failure="quadratic",
+          indices=tuple(int(x) for x in indices),
+          residual=Fraction(int(sums[hits[0]]), scale * scale))
+  return WValidationReport(ok=True)
+
+
 def _validate_direct(dense: np.ndarray, scale: int) -> WValidationReport:
   """Quadratic identity of a symmetric W, evaluated directly on its cleared
   dense copy (float64 or object, see ``_exact_dtype``): the residual
@@ -255,10 +328,11 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
 
   Both identities are checked on W's cleared numerators ``w.dense`` -- the
   quadratic identity is homogeneous, so scaling cannot change the verdict.
-  Default route: symmetry scan plus pairwise commutation of the slice
-  matrices.  With ``cross_check=True`` the direct contraction of the
-  quadratic identity runs as well and any disagreement (verdict, indices or
-  residual) raises InternalCheckError.
+  Default route: symmetry scan, then the entry join when its products, at
+  ``_JOIN_COST`` each, cost less than n^5, else pairwise commutation of the
+  slice matrices.  With ``cross_check=True`` the dense direct contraction of
+  the quadratic identity runs as well and any disagreement (verdict, indices
+  or residual) raises InternalCheckError.
 
   When both identities fail, the symmetry violation is reported; quadratic
   violations carry the lexicographically first (i, s, q, p) with s < q (if
@@ -273,7 +347,17 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
     return WValidationReport(
         ok=False, failure="symmetry", indices=sym,
         residual=Fraction(int(dense[i, j, s] - dense[j, i, s]), scale))
-  report = _validate_by_slices(dense, scale)
+  # nonzero products of the join: up(k) entries W^{sk}_i times low(k)
+  # entries W^{qp}_k; the slice products cost about n^5 multiply-adds.  W is
+  # symmetric, so up(k) also counts the entries W^{ks}_i of row block k, a
+  # contiguous sum
+  nonzero = dense != 0
+  joined = int(nonzero.reshape(n, n * n).sum(axis=1)
+               @ nonzero.reshape(n * n, n).sum(axis=0))
+  if joined * _JOIN_COST < n**5:
+    report = _validate_by_join(dense, scale)
+  else:
+    report = _validate_by_slices(dense, scale)
   if cross_check:
     direct = _validate_direct(dense, scale)
     if report != direct:
@@ -310,7 +394,8 @@ def filtration_support_check(w: WTensor) -> bool:
   This is the support condition making F^(k) = span(components >= k) a
   descending chain of ideals in solvable form.
   """
-  return all(s >= max(i, j) + 1 for (i, j, s) in w.entries)
+  i, j, s = np.nonzero(w.dense)
+  return bool((s > np.maximum(i, j)).all())
 
 
 def max_abelian_filtration_ideal(w: WTensor) -> int:
@@ -319,7 +404,8 @@ def max_abelian_filtration_ideal(w: WTensor) -> int:
   F^(k) for that k is abelian under the extension bracket, universally in G.
   Returns 0 for the zero tensor; may return n (only F^(n) = 0 is abelian).
   """
-  return 1 + max((min(i, j) for (i, j, s) in w.entries), default=-1)
+  i, j, _ = np.nonzero(w.dense)
+  return 1 + int(np.minimum(i, j).max(initial=-1))
 
 
 def semisimple_form_check(w: WTensor) -> bool:

@@ -595,6 +595,29 @@ def test_usage_errors_exit_2():
   assert run_cli("certify", "--algebra", "sl2")[0] == 2  # missing --input
 
 
+def test_the_parser_is_built_once():
+  assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_parser_answers_calls_in_turn():
+  # the cached parser carries nothing from one call into the next: a usage
+  # error, a golden and the same usage error give their own codes and bytes
+  def call(*argv):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+      code, out = run_cli(*argv)
+    return code, out, err.getvalue()
+
+  usage = call("classify")  # the usage line wraps at the terminal width
+  assert usage[:2] == (2, "")
+  assert usage[2].startswith("usage: liebundle classify [-h] --alpha ALPHA")
+  assert usage[2].endswith("\nliebundle classify: error: the following "
+                           "arguments are required: --alpha\n")
+  golden = (0, "n: 3\nzero-count: 2\nm-nonabelian: 1\nn-abelian: 2\n", "")
+  assert call("classify", "--alpha", "1,1,1") == golden
+  assert call("classify") == usage
+  assert call("classify", "--alpha", "1,1,1") == golden
+
+
 # ---------------------------------------------------------------------------
 # the three JSON loaders, fuzzed through main
 

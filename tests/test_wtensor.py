@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -275,6 +276,158 @@ def test_exactness_bound_of_the_float64_route(monkeypatch):
   one_sided = make_wtensor(2, {(0, 1, 0): 2**60 + 1, (1, 0, 0): 2**60})
   assert wtensor_validate(one_sided) == WValidationReport(
       ok=False, failure="symmetry", indices=(0, 1, 0), residual=F(1))
+
+
+def test_exactness_bound_of_the_join():
+  # n = 2 takes the slice route in wtensor_validate, so the join is called
+  # on the same cleared copy directly
+  m, top = 2**27, isqrt(2**51)
+  for w, dtype in ((bd_minus_fc(m + 1, m + 2, m + 1, m), object),
+                   (bd_minus_fc(top - 1, top, top - 1, top - 2), np.float64),
+                   (bd_minus_fc(top, top + 1, top, top - 1), object)):
+    dense = w.dense.astype(wtensor._exact_dtype(w.n, w.max_abs))
+    assert dense.dtype == dtype
+    report = wtensor._validate_by_join(dense, w.scale)
+    assert report == direct_oracle(w)
+    assert (report.indices, report.residual) == ((0, 0, 1, 0), 1)
+  # the first case is one the float64 copy gets wrong
+  w = bd_minus_fc(m + 1, m + 2, m + 1, m)
+  assert wtensor._validate_by_join(w.dense.astype(np.float64),
+                                   w.scale) != direct_oracle(w)
+
+
+def test_the_route_follows_the_nonzero_products(monkeypatch):
+  # sparse tensors take the join, dense circulants the slice products
+  ran = []
+  for name in ("_validate_by_join", "_validate_by_slices"):
+    monkeypatch.setattr(wtensor, name, lambda dense, scale, name=name,
+                        route=getattr(wtensor, name): (
+                            ran.append(name) or route(dense, scale)))
+  alpha = [k % 5 + 1 for k in range(64)]
+  valid = WValidationReport(ok=True)
+  planted = WValidationReport(ok=False, failure="quadratic",
+                              indices=(5, 0, 3, 3), residual=F(1, 2))
+  for w, route, cross_check, expected in (
+      (leibnitz_w(64), "_validate_by_join", False, valid),
+      (direct_sum_w(64), "_validate_by_join", False, valid),
+      (leibnitz_deform(48, F(-7, 3)), "_validate_by_join", True, valid),
+      (planted_w(40, [(5, 9, 3, F(1, 2))]), "_validate_by_join", True,
+       planted),
+      (circulant_w(alpha[:8]), "_validate_by_slices", True, valid),
+      (circulant_w(alpha), "_validate_by_slices", False, valid)):
+    assert wtensor_validate(w, cross_check=cross_check) == expected
+    assert ran == [route]
+    ran.clear()
+
+
+def quadratic_routes(w):
+  """Reports of the join, the slice products and the direct contraction on
+  the cleared copy of a symmetric W."""
+  dense = w.dense.astype(wtensor._exact_dtype(w.n, w.max_abs))
+  return [route(dense, w.scale) for route in (
+      wtensor._validate_by_join, wtensor._validate_by_slices,
+      wtensor._validate_direct)]
+
+
+def seeded_symmetric_tensor(rng, kind):
+  """A symmetric W of the given kind, n up to 12."""
+  n = rng.randint(1, 12)
+  value = lambda: F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2, 3)))
+  if kind in ("family", "perturbed"):
+    w = rng.choice((
+        lambda: leibnitz_w(n), lambda: direct_sum_w(n),
+        lambda: leibnitz_deform(n, rng.choice(LAMBDA_SET)),
+        lambda: circulant_w(rand_alpha(rng, min(n, 6)))))()
+    if kind == "family":
+      return w
+    # one more symmetric pair of entries, which most often breaks W
+    entries = dict(w.entries)
+    i, j, s = (rng.randrange(w.n) for _ in range(3))
+    entries[(i, j, s)] = entries[(j, i, s)] = value()
+    return make_wtensor(w.n, entries)
+  if kind == "planted":  # one failing pair (x, 0, q, q) and nothing else
+    x, a, q = rng.sample(range(1, max(n, 4)), 3)
+    return planted_w(max(n, 4), [(x, a, q, value())])
+  if kind == "zero":
+    return make_wtensor(n, {})
+  # random entries; "gaps" keeps every other lower index empty, "big" puts
+  # them near 2^40, which takes object arrays
+  lows = range(rng.randrange(2), n, 2) if kind == "gaps" else range(n)
+  if not lows:
+    return make_wtensor(n, {})
+  entries = {}
+  for _ in range(rng.randint(1, 3 * n)):
+    i, j, s = rng.randrange(n), rng.randrange(n), rng.choice(lows)
+    entries[(i, j, s)] = entries[(j, i, s)] = (
+        2**40 + rng.randint(-3, 3) if kind == "big" else value())
+  return make_wtensor(n, entries)
+
+
+def test_join_slices_and_direct_agree_on_seeded_tensors():
+  rng = random.Random(23)
+  kinds = ("family", "perturbed", "sparse", "planted", "big", "gaps", "zero")
+  seen, ones = Counter(), 0
+  for trial in range(1400):
+    kind = kinds[trial % len(kinds)]
+    w = seeded_symmetric_tensor(rng, kind)
+    join, slices, direct = quadratic_routes(w)
+    assert join == slices == direct, (kind, w.n, w.entries)
+    seen[(kind, join.ok)] += 1
+    ones += w.n == 1
+    if kind == "big":
+      assert wtensor._exact_dtype(w.n, w.max_abs) is object
+  for kind in ("perturbed", "sparse", "big", "gaps"):
+    assert seen[(kind, True)] and seen[(kind, False)] >= 20
+  assert seen[("family", True)] == seen[("planted", False)] == 200
+  assert seen[("zero", True)] == 200
+  assert sum(count for (_, ok), count in seen.items() if not ok) >= 500
+  assert ones >= 50
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_the_join_in_small_chunks(monkeypatch, chunk):
+  # a chunk holds whole lower indices, more than ``chunk`` products when one
+  # index has more; the first failing chunk must hold the first witness
+  monkeypatch.setattr(wtensor, "_JOIN_CHUNK", chunk)
+  rng = random.Random(chunk)
+  for trial in range(210):
+    kind = ("perturbed", "sparse", "gaps")[trial % 3]
+    w = seeded_symmetric_tensor(rng, kind)
+    join, _, direct = quadratic_routes(w)
+    assert join == direct, (kind, w.n, w.entries)
+
+
+def test_the_join_reaches_a_late_witness(monkeypatch):
+  # leibnitz_w(64) joins 45,760 products in several chunks; a pair added at
+  # lower index 63 leaves every residual of a smaller lower index zero, so
+  # only the last chunk fails
+  entries = dict(leibnitz_w(64).entries)
+  entries[(1, 5, 63)] = entries[(5, 1, 63)] = F(1, 3)
+  w = make_wtensor(64, entries)
+  joined = []
+  join = wtensor._validate_by_join
+  monkeypatch.setattr(wtensor, "_validate_by_join", lambda dense, scale: (
+      joined.append(dense.dtype) or join(dense, scale)))
+  report = wtensor_validate(w, cross_check=True)  # against the dense route
+  assert joined == [np.float64]
+  i, s, q, p = report.indices
+  assert i == 63 and not report.ok
+  get = lambda a, b, c: entries.get((a, b, c), 0)
+  assert report.residual == sum(
+      get(s, k, i) * get(q, p, k) - get(q, k, i) * get(s, p, k)
+      for k in range(64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_the_join_matches_the_direct_contraction(n, data):
+  entries = {}
+  for _ in range(data.draw(st.integers(0, 2 * n))):
+    i, j, s = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    entries[(i, j, s)] = entries[(j, i, s)] = data.draw(
+        st.sampled_from((-2, -1, 1, 3)))
+  join, _, direct = quadratic_routes(make_wtensor(n, entries))
+  assert join == direct
 
 
 # ---------------------------------------------------------------------------
