@@ -42,9 +42,14 @@ class StructureConstants(ClearedTable):
   def table(self) -> Table:
     """The nonzero brackets {(a, b): {e: c_ab^e}} with a < b, in C order
     (or in the order given to ``make_structure_constants``)."""
-    table: Table = {}
+    return self.brackets()
+
+  def brackets(self, over_scale: bool = True) -> dict:
+    """The nonzero {(a, b): {e: c_ab^e}} with a < b, in C order; the Python
+    integer numerators dense[a, b, e] when not ``over_scale``."""
+    table: dict = {}
     upper = np.triu(np.ones((self.dim,) * 2, dtype=bool), 1)[:, :, None]
-    for (a, b, e), v in self._fractions(upper).items():
+    for (a, b, e), v in self._fractions(upper, over_scale).items():
       table.setdefault((a, b), {})[e] = v
     return table
 

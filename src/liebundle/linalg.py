@@ -89,13 +89,16 @@ class ClearedTable:
     """The largest absolute numerator."""
     return int(np.abs(self.dense).max())
 
-  def _fractions(self, keep=True) -> dict:
+  def _fractions(self, keep=True, over_scale=True) -> dict:
     """{index: dense[index] / scale} over the nonzero entries where ``keep``
-    holds, in C order, with one Fraction per distinct value."""
+    holds, in C order, with one Fraction per distinct value; the Python
+    integers dense[index] themselves when not ``over_scale``."""
     where = np.nonzero((self.dense != 0) & keep)
     nums = self.dense[where].tolist()
-    value = {x: Fraction(x, self.scale) for x in set(nums)}
     keys = zip(*(a.tolist() for a in where))
+    if not over_scale:
+      return dict(zip(keys, nums))
+    value = {x: Fraction(x, self.scale) for x in set(nums)}
     return dict(zip(keys, map(value.__getitem__, nums)))
 
 

@@ -3,13 +3,15 @@
 On the dual space with coordinates xi_0..xi_{d-1} the bracket
 {f, g} = sum c_ab^e xi_e (df/dxi_a)(dg/dxi_b) is Poisson exactly when c
 satisfies Jacobi.  Polynomials are exact: sparse exponent-tuple -> Fraction
-maps, no floats anywhere.
+maps, no floats anywhere.  The Jacobi scan runs the same bracket on the
+table's cleared numerators, as Python integers, with its residual over scale^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra_core import (JacobiReport, StructureConstants, center_basis,
                            validate_structure_constants)
@@ -133,24 +135,25 @@ def _constants_of(t) -> StructureConstants:
   raise ValueError(f"expected PoissonTensor or StructureConstants, got {t!r}")
 
 
-def _partials(f: PolyFunction) -> dict[int, Terms]:
-  """{a: terms of df/dxi_a} over the coordinates f depends on."""
-  support = {a for exps in f.terms for a, k in enumerate(exps) if k}
-  return {a: poly_diff(f, a).terms for a in sorted(support)}
+def _partials(terms: Terms) -> dict[int, Terms]:
+  """{a: terms of df/dxi_a} over the coordinates f depends on, from one pass
+  over the terms of f."""
+  out: dict[int, Terms] = {}
+  for exps, v in terms.items():
+    for a, k in enumerate(exps):
+      if k:
+        out.setdefault(a, {})[exps[:a] + (k - 1,) + exps[a + 1:]] = v * k
+  return dict(sorted(out.items()))
 
 
-def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-  """{f, g} = sum of c_ab^e xi_e f_a g_b over a != b in the derivative
-  supports of f and g (c_ba = -c_ab), not over the whole table."""
-  c = _constants_of(t)
-  if f.dim != c.dim or g.dim != c.dim:
-    raise ValueError("polynomials do not match the algebra dimension")
-  dg = _partials(g)
-  terms: Terms = {}
-  for a, fa in _partials(f).items():
+def _bracket(table, df: dict, dg: dict, terms: dict) -> dict:
+  """Add sum of c_ab^e xi_e f_a g_b to ``terms`` over a != b in the
+  derivative supports of f and g (c_ba = -c_ab), not over the whole table.
+  ``table`` is {(a, b): {e: c_ab^e}} for a < b, Fractions or numerators."""
+  for a, fa in df.items():
     for b, gb in dg.items():
       sign = 1 if a < b else -1
-      coeffs = c.table.get((min(a, b), max(a, b))) if a != b else None
+      coeffs = table.get((min(a, b), max(a, b))) if a != b else None
       if not coeffs:
         continue
       for e1, v1 in fa.items():
@@ -160,28 +163,39 @@ def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
           for e, v in coeffs.items():
             key = base[:e] + (base[e] + 1,) + base[e + 1:]
             terms[key] = terms.get(key, 0) + v * w
+  return terms
+
+
+def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
+  """{f, g} = sum of c_ab^e xi_e f_a g_b (see ``_bracket``)."""
+  c = _constants_of(t)
+  if f.dim != c.dim or g.dim != c.dim:
+    raise ValueError("polynomials do not match the algebra dimension")
+  terms = _bracket(c.table, _partials(f.terms), _partials(g.terms), {})
   return PolyFunction(dim=c.dim, terms={k: v for k, v in terms.items() if v})
 
 
 def _polynomial_jacobi(c: StructureConstants) -> JacobiReport:
-  """{{xi_a, xi_b}, xi_c} + cyclic for all a < b < c, first nonzero one."""
+  """{{xi_a, xi_b}, xi_c} + cyclic for all a < b < c, first nonzero one.
+
+  Runs on the numerators dense[a, b, e], so the residual is over scale^2;
+  each xi_a and each {xi_a, xi_b} is differentiated once."""
   d = c.dim
-  xi = [coordinate_poly(d, a) for a in range(d)]
-  inner = {(a, b): lie_poisson_bracket(c, xi[a], xi[b])
-           for a in range(d) for b in range(a + 1, d)}
-  for a in range(d):
-    for b in range(a + 1, d):
-      for cc in range(b + 1, d):
-        # {{xi_c, xi_a}, xi_b} = {xi_b, {xi_a, xi_c}} by antisymmetry
-        total = poly_add(poly_add(lie_poisson_bracket(c, inner[a, b], xi[cc]),
-                                  lie_poisson_bracket(c, inner[b, cc], xi[a])),
-                         lie_poisson_bracket(c, xi[b], inner[a, cc]))
-        if not is_zero_poly(total):
-          # the residual polynomial is linear; the monomial with the
-          # lex-largest exponent tuple carries the smallest coordinate index
-          exps, value = max(total.terms.items())
-          return JacobiReport(ok=False, violation=(a, b, cc, exps.index(1)),
-                              residual=value)
+  table = c.brackets(over_scale=False)
+  dxi = [{a: {(0,) * d: 1}} for a in range(d)]
+  inner = {(a, b): _partials(_bracket(table, dxi[a], dxi[b], {}))
+           for a, b in combinations(range(d), 2)}
+  for a, b, cc in combinations(range(d), 3):
+    # {{xi_c, xi_a}, xi_b} = {xi_b, {xi_a, xi_c}} by antisymmetry
+    total = _bracket(table, inner[a, b], dxi[cc], {})
+    _bracket(table, inner[b, cc], dxi[a], total)
+    _bracket(table, dxi[b], inner[a, cc], total)
+    if any(total.values()):
+      # the residual polynomial is linear; the monomial with the
+      # lex-largest exponent tuple carries the smallest coordinate index
+      exps, value = max((k, v) for k, v in total.items() if v)
+      return JacobiReport(ok=False, violation=(a, b, cc, exps.index(1)),
+                          residual=Fraction(value, c.scale**2))
   return JacobiReport(ok=True)
 
 

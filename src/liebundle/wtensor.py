@@ -12,7 +12,7 @@ holds; equivalently, iff the slice matrices (W^(k))_i^j = W^{kj}_i commute
 pairwise.  Validation evaluates the identity on its nonzero products alone
 (an entry join, whose cost follows the P = sum_k up(k) low(k) products of
 entries W^{sk}_i and W^{qp}_k) when that costs less than the n^5
-multiply-adds of the slice commutators, and the slice commutators
+multiply-adds and the batched products of the slice commutators, and those
 otherwise; sparse families such as Leibnitz, direct sums and their
 deformations take the join, dense circulants the slices.  The dense direct
 contraction of the identity cross-checks either: a second formula for the
@@ -239,12 +239,13 @@ def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
 # arrays stay near 1 MB; chunks of 2^16 products raised the peak memory
 # of a ``tables`` benchmark run from 46.6 to 49.8 MB and gained no speed
 _JOIN_CHUNK = 2**13
-# cost of one joined product in slice multiply-adds (n^5 per tensor): on one
-# core the join took 50-140 ns per product over whole scans of Leibnitz,
-# deformed, direct-sum and random sparse tensors with n = 32..64, and the
-# slice products about 0.055 ns per multiply-add at n = 64, a ratio of about
-# 950-2,450; the upper end keeps the join from tensors it would not speed up
-_JOIN_COST = 2048
+# costs in slice multiply-adds (0.064 ns each on one core), fitted on Leibnitz,
+# deformed, direct-sum and circulant tensors with n = 2..64: a joined product
+# 42-56 ns, a batched slice product 10.7 us beside its multiply-adds, and a
+# call of the join about 50 us, which keeps n <= 5 on the slices
+_JOIN_COST = 768
+_BATCH_COST = 170_000
+_JOIN_CALL = 800_000
 
 
 def _validate_by_join(dense: np.ndarray, scale: int) -> WValidationReport:
@@ -328,11 +329,11 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
 
   Both identities are checked on W's cleared numerators ``w.dense`` -- the
   quadratic identity is homogeneous, so scaling cannot change the verdict.
-  Default route: symmetry scan, then the entry join when its products, at
-  ``_JOIN_COST`` each, cost less than n^5, else pairwise commutation of the
-  slice matrices.  With ``cross_check=True`` the dense direct contraction of
-  the quadratic identity runs as well and any disagreement (verdict, indices
-  or residual) raises InternalCheckError.
+  Default route: symmetry scan, then the entry join when it costs less than
+  the slice products (n^5 multiply-adds and a fixed cost per batch), else
+  pairwise commutation of the slice matrices.  With ``cross_check=True`` the
+  dense direct contraction of the quadratic identity runs as well and any
+  disagreement (verdict, indices or residual) raises InternalCheckError.
 
   When both identities fail, the symmetry violation is reported; quadratic
   violations carry the lexicographically first (i, s, q, p) with s < q (if
@@ -348,13 +349,14 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
         ok=False, failure="symmetry", indices=sym,
         residual=Fraction(int(dense[i, j, s] - dense[j, i, s]), scale))
   # nonzero products of the join: up(k) entries W^{sk}_i times low(k)
-  # entries W^{qp}_k; the slice products cost about n^5 multiply-adds.  W is
-  # symmetric, so up(k) also counts the entries W^{ks}_i of row block k, a
-  # contiguous sum
+  # entries W^{qp}_k; the slice products cost about n^5 multiply-adds in
+  # ceil((n - 1 - s) / _SLICE_BLOCK) batches for each s.  W is symmetric, so
+  # up(k) also counts the entries W^{ks}_i of row block k, a contiguous sum
   nonzero = dense != 0
   joined = int(nonzero.reshape(n, n * n).sum(axis=1)
                @ nonzero.reshape(n * n, n).sum(axis=0))
-  if joined * _JOIN_COST < n**5:
+  batches = sum(-(-m // _SLICE_BLOCK) for m in range(1, n))
+  if joined * _JOIN_COST + _JOIN_CALL < n**5 + batches * _BATCH_COST:
     report = _validate_by_join(dense, scale)
   else:
     report = _validate_by_slices(dense, scale)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebundle import (JacobiReport, builtin_algebra, casimir_linear_basis,
-                       coordinate_poly,
+from liebundle import (InternalCheckError, JacobiReport, builtin_algebra,
+                       casimir_linear_basis, coordinate_poly,
                        induced_structure_constants, invalid_witness_w,
                        involution_check, lie_poisson_bracket,
                        make_poisson_tensor, make_poly,
@@ -17,6 +17,7 @@ from liebundle import (JacobiReport, builtin_algebra, casimir_linear_basis,
                        poly_from_json, poly_mul, poly_scale, poly_to_json,
                        poly_to_text, so_sym_bundle, sum_bracket_table,
                        validate_structure_constants)
+from liebundle import poisson
 from liebundle.poisson import is_zero_poly, poly_zero
 
 F = Fraction
@@ -180,18 +181,48 @@ def test_bracket_matches_the_table_loop_oracle():
       assert lie_poisson_bracket(c, g, f).terms == bracket_oracle(c, g, f).terms
 
 
+def changed_once(rng, c, factor):
+  """c's table times ``factor`` with one coefficient moved by 1/2."""
+  table = {key: {e: v * factor for e, v in coeffs.items()}
+           for key, coeffs in c.table.items()}
+  coeffs = table[rng.choice(sorted(table))]
+  e = rng.randrange(c.dim)
+  coeffs[e] = coeffs.get(e, 0) + F(1, 2)
+  return make_structure_constants(c.dim, table)
+
+
 def test_jacobi_check_matches_the_oracle_on_failing_tables():
   rng = random.Random(67)
-  failing = 0
+  tables = []
   for _ in range(30):
     d = rng.randint(3, 5)
     table = {(a, b): {rng.randrange(d): F(rng.randint(-3, 3), rng.randint(1, 3))}
              for a in range(d) for b in range(a + 1, d) if rng.random() < 0.5}
-    c = make_structure_constants(d, table)
-    expected = jacobi_oracle(c)
+    tables.append(make_structure_constants(d, table))
+  # d = 6-10, with scale > 1 and with numerators past 2^63 (object arrays)
+  sym = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+         for _ in range(4)]
+  sym = [[sym[min(r, s)][max(r, s)] for s in range(4)] for r in range(4)]
+  for c in (builtin_algebra("gl(3)"), builtin_algebra("so(5)"),
+            so_sym_bundle(4, sym)):
+    for factor in (1, F(2, 3), 2**70):
+      tables.append(changed_once(rng, c, factor))
+  assert sum(c.scale > 1 for c in tables[30:]) == 9
+  assert sum(c.dense.dtype == object for c in tables[30:]) == 3
+  # tables that fail only at their last triple: BROKEN on the last three
+  # coordinates, the others central
+  for d, factor in ((6, 1), (9, F(5, 7)), (7, 2**70)):
+    tables.append(make_structure_constants(d, {
+        (a + d - 3, b + d - 3): {e + d - 3: v * factor for e, v in
+                                 coeffs.items()}
+        for (a, b), coeffs in BROKEN.items()}))
+  reports = [jacobi_oracle(c) for c in tables]
+  for c, expected in zip(tables, reports):
     assert poisson_jacobi_check(c) == expected
-    failing += not expected.ok
-  assert failing >= 10
+  assert sum(not r.ok for r in reports[:30]) >= 10
+  assert not any(r.ok for r in reports[30:])
+  assert [r.violation[:3] for r in reports[-3:]] == [
+      (3, 4, 5), (6, 7, 8), (4, 5, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +235,7 @@ def test_jacobi_check_passes_on_valid_tables():
     assert rep.ok
 
 
-def test_jacobi_check_accepts_raw_constants_and_flags_bad_ones():
+def test_jacobi_check_accepts_raw_constants_and_flags_bad_ones(monkeypatch):
   bad = make_structure_constants(3, BROKEN)
   # the guarded constructor refuses an invalid table outright ...
   with pytest.raises(ValueError):
@@ -216,6 +247,11 @@ def test_jacobi_check_accepts_raw_constants_and_flags_bad_ones():
   assert not rep.ok and not direct.ok
   assert rep.violation == direct.violation == (0, 1, 2, 2)
   assert rep.residual == direct.residual == F(-1)
+  # a table scan that disagrees is a tool fault
+  monkeypatch.setattr(poisson, "validate_structure_constants",
+                      lambda c: JacobiReport(ok=True))
+  with pytest.raises(InternalCheckError):
+    poisson_jacobi_check(bad)
 
 
 def test_jacobi_check_agrees_on_incompatible_sum():

@@ -307,14 +307,21 @@ def test_the_route_follows_the_nonzero_products(monkeypatch):
   valid = WValidationReport(ok=True)
   planted = WValidationReport(ok=False, failure="quadratic",
                               indices=(5, 0, 3, 3), residual=F(1, 2))
-  for w, route, cross_check, expected in (
-      (leibnitz_w(64), "_validate_by_join", False, valid),
-      (direct_sum_w(64), "_validate_by_join", False, valid),
-      (leibnitz_deform(48, F(-7, 3)), "_validate_by_join", True, valid),
-      (planted_w(40, [(5, 9, 3, F(1, 2))]), "_validate_by_join", True,
-       planted),
-      (circulant_w(alpha[:8]), "_validate_by_slices", True, valid),
-      (circulant_w(alpha), "_validate_by_slices", False, valid)):
+  cases = [(leibnitz_w(64), "_validate_by_join", False, valid),
+           (direct_sum_w(64), "_validate_by_join", False, valid),
+           (planted_w(40, [(5, 9, 3, F(1, 2))]), "_validate_by_join", True,
+            planted)]
+  # mid-size deformations, whose slice batches cost more than their join;
+  # at n = 4 the join's fixed cost is more than the slices'
+  cases += [(leibnitz_deform(n, F(-7, 3)), route, True, valid)
+            for n, route in ((4, "_validate_by_slices"),
+                             (16, "_validate_by_join"),
+                             (24, "_validate_by_join"),
+                             (32, "_validate_by_join"),
+                             (48, "_validate_by_join"))]
+  cases += [(circulant_w(alpha[:n]), "_validate_by_slices", n < 64, valid)
+            for n in (2, 4, 8, 12, 16, 64)]
+  for w, route, cross_check, expected in cases:
     assert wtensor_validate(w, cross_check=cross_check) == expected
     assert ran == [route]
     ran.clear()
