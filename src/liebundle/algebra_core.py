@@ -5,7 +5,7 @@ over a common ``scale`` (see ``linalg.cleared``), antisymmetric in (a, b),
 and read as the sparse view ``table[(a, b)] = {e: c_ab_e}`` for a < b.
 Everything here is exact: coefficients are Fractions, and the Jacobi
 scans run on float64 only below the bound where it holds every integer they
-compute (``_exact_sum_dtype``).
+compute (``linalg._exact_sum_dtype``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from math import lcm
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import (ClearedTable, cleared, frac_matrix, identity_matrix,
-                     nullspace, zeros_matrix)
+from .linalg import (ClearedTable, _exact_sum_dtype, cleared, frac_matrix,
+                     identity_matrix, nullspace, zeros_matrix)
 from .rationals import as_fraction, format_rational
 
 MAX_DIM = 64
@@ -230,21 +230,17 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
 _UPPER = np.triu(np.ones((MAX_DIM, MAX_DIM), dtype=bool), 1)
 
 
-def _exact_sum_dtype(bound: int):
-  """The dtype in which integer products and sums of magnitude at most
-  ``bound`` are computed exactly: float64 below 2^53 (it holds every such
-  integer, and BLAS multiplies it), int64 below 2^62, else object (Python
-  integers)."""
-  return np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
-
-
 def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
                 sign: int = 1) -> JacobiReport:
   """The first violation (u, v, t, f), u < v < t, of a Jacobi identity.
 
   With B[u, v, t, f] = sum_g left[u, v, g] right[g, t, f], the residual is
-  ``sign`` * (B[u, v, t] + B[v, t, u] + B[t, u, v]) / ``scale``^2, which is
-  alternating, so u < v < t suffice, as ``left`` is antisymmetric in (u, v).
+  ``sign`` * (B[u, v, t] - B[u, t, v] + B[v, t, u]) / ``scale``^2 over
+  u < v < t, which for a bracket table is [[u, v], t] - [[u, t], v] +
+  [[v, t], u].  When ``left`` is antisymmetric in (u, v), -B[u, t, v] =
+  B[t, u, v] and this is the Jacobiator, which is alternating, so u < v < t
+  suffice; for a table that is not antisymmetric (the induced table of a W
+  that is not symmetric) it is that form as it stands, certify's residual.
   For each u it is P[v, t] - P[t, v] + B[v, t, u] with P[v, t] = B[u, v, t],
   from two matrix products: P over v, t > u, and B[v, t, u] over the pairs
   u < v < t, which are the last rows of left[v, t] over v < t in C order.

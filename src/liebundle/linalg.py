@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 ``cleared`` is the one canonical integer form of a table of rationals, the
-form W-tensors and structure constants are held in.  Rank and nullspace run
-one fraction-free elimination, ``_bareiss``, on a 2-D array of Python
-integers: an integer array is taken as it is, and rationals are cleared
-first, so no float and no Fraction enters a decision.  ``frac_matrix`` and
+form W-tensors and structure constants are held in; ``_exact_sum_dtype`` is
+the one rule for the dtype that computes sums of their products exactly,
+called by every Jacobi scan and W validation on its own bound.  Rank and
+nullspace run one fraction-free elimination, ``_bareiss``, on a 2-D array of
+Python integers: an integer array is taken as it is, and rationals are
+cleared first, so no float and no Fraction enters a decision.  ``frac_matrix`` and
 its helpers build object matrices of Fractions for exact matrix products.
 """
 
@@ -69,6 +71,14 @@ def cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
   if values.dtype == object and -2**63 < values.min() and values.max() < 2**63:
     values = values.astype(np.int64)
   return values, scale
+
+
+def _exact_sum_dtype(bound: int):
+  """The dtype in which integer products and sums of magnitude at most
+  ``bound`` are computed exactly: float64 below 2^53 (it holds every such
+  integer, and BLAS multiplies it), int64 below 2^62, else object (Python
+  integers)."""
+  return np.float64 if bound < 2**53 else np.int64 if bound < 2**62 else object
 
 
 class ClearedTable:

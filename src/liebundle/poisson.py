@@ -109,13 +109,7 @@ def poly_diff(f: PolyFunction, a: int) -> PolyFunction:
   """Partial derivative with respect to xi_a."""
   if not 0 <= a < f.dim:
     raise ValueError(f"coordinate index {a} out of range")
-  terms: Terms = {}
-  for exps, v in f.terms.items():
-    k = exps[a]
-    if k:
-      key = tuple(e - 1 if i == a else e for i, e in enumerate(exps))
-      terms[key] = v * k
-  return PolyFunction(dim=f.dim, terms=terms)
+  return PolyFunction(f.dim, _partials(f.terms).get(a, {}))
 
 
 def make_poisson_tensor(c: StructureConstants) -> PoissonTensor:

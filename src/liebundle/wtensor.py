@@ -16,7 +16,10 @@ multiply-adds and the batched products of the slice commutators, and those
 otherwise; sparse families such as Leibnitz, direct sums and their
 deformations take the join, dense circulants the slices.  The dense direct
 contraction of the identity cross-checks either: a second formula for the
-slices, a second evaluation, over every product, for the join.
+slices, a second evaluation, over every product, for the join.  All three
+run on one copy of the cleared numerators, in the dtype (float64, int64 or
+Python integers) of ``linalg._exact_sum_dtype`` for their bound 2*n*M^2.
+Certifying an extension on G^n runs two formulas for every W.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from functools import cached_property
 import numpy as np
 
 from .algebra_core import (MAX_DIM, JacobiReport, StructureConstants,
-                           _exact_sum_dtype, _from_numerators, _jacobiator,
-                           basis_vector, bracket_eval)
+                           _from_numerators, _jacobiator, basis_vector,
+                           bracket_eval)
 from .errors import InternalCheckError, SizeCapError
-from .linalg import (ClearedTable, cleared, frac_matrix, identity_matrix,
-                     is_nilpotent, mats_equal)
+from .linalg import (ClearedTable, _exact_sum_dtype, cleared, frac_matrix,
+                     identity_matrix, is_nilpotent, mats_equal)
 from .rationals import as_fraction, format_rational
 
 MAX_N = 64
@@ -189,26 +192,9 @@ def slice_matrix(w: WTensor, k: int) -> np.ndarray:
 _SLICE_BLOCK = 8
 
 
-def _symmetry_violation(dense: np.ndarray):
-  """Lexicographically first (i, j, s) with W^{ij}_s != W^{ji}_s on a dense
-  copy, or None."""
-  hits = np.argwhere(dense != dense.transpose(1, 0, 2))
-  return tuple(int(x) for x in hits[0]) if len(hits) else None
-
-
-def _exact_dtype(n: int, max_abs: int):
-  """float64 when integer arithmetic on it is exact, else object.
-
-  A commutator entry of two slices, or a residual of the quadratic identity,
-  is a difference of two sums of n products of cleared entries, so every
-  product and partial sum is an integer of magnitude at most 2*n*M^2; below
-  2^53 float64 represents all of them, and so computes them exactly."""
-  return np.float64 if 2 * n * max_abs**2 < 2**53 else object
-
-
 def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
   """Quadratic identity of a symmetric W from its cleared dense copy
-  (float64 or object, see ``_exact_dtype``): pairwise commutators of the
+  (see ``wtensor_validate`` for its dtype): pairwise commutators of the
   slices, the lexicographically first nonzero entry (i, s, q, p), s < q.
 
   Slice s is multiplied against blocks of _SLICE_BLOCK later slices at once.
@@ -250,12 +236,12 @@ _JOIN_CALL = 800_000
 
 def _validate_by_join(dense: np.ndarray, scale: int) -> WValidationReport:
   """Quadratic identity of a symmetric W from its cleared dense copy
-  (float64 or object, see ``_exact_dtype``), evaluated on its nonzero
+  (see ``wtensor_validate`` for its dtype), evaluated on its nonzero
   products only: each entry W^{sk}_i joins the entries W^{qp}_k with lower
   index k, and for s != q adds +-W^{sk}_i W^{qp}_k at (i, min(s,q),
   max(s,q), p), the residual of the direct contraction with s < q.
 
-  A key sums at most 2*n products, the bound of ``_exact_dtype``.  Whole
+  A key sums at most 2*n products, within the dtype's bound.  Whole
   lower indices i are summed in ascending chunks, so the first chunk with a
   nonzero sum holds the lexicographically first (i, s, q, p)."""
   n = dense.shape[0]
@@ -305,7 +291,7 @@ def _validate_by_join(dense: np.ndarray, scale: int) -> WValidationReport:
 
 def _validate_direct(dense: np.ndarray, scale: int) -> WValidationReport:
   """Quadratic identity of a symmetric W, evaluated directly on its cleared
-  dense copy (float64 or object, see ``_exact_dtype``): the residual
+  dense copy (see ``wtensor_validate`` for its dtype): the residual
   R[i, s, q, p] = sum_k W^{sk}_i W^{qp}_k - W^{qk}_i W^{sp}_k, one index i at
   a time (an n^3 block).  The first nonzero in C order is the
   lexicographically first (i, s, q, p)."""
@@ -329,6 +315,9 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
 
   Both identities are checked on W's cleared numerators ``w.dense`` -- the
   quadratic identity is homogeneous, so scaling cannot change the verdict.
+  A slice commutator entry, or a residual of the quadratic identity, is a
+  difference of two sums of n products of entries at most M, so all routes
+  run in the dtype of ``_exact_sum_dtype`` for the bound 2*n*M^2.
   Default route: symmetry scan, then the entry join when it costs less than
   the slice products (n^5 multiply-adds and a fixed cost per batch), else
   pairwise commutation of the slice matrices.  With ``cross_check=True`` the
@@ -341,12 +330,12 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
   too and precedes it, so nothing is missed).
   """
   n, scale = w.n, w.scale
-  dense = w.dense.astype(_exact_dtype(n, w.max_abs))
-  sym = _symmetry_violation(dense)
-  if sym is not None:
-    i, j, s = sym
+  dense = w.dense.astype(_exact_sum_dtype(2 * n * w.max_abs**2))
+  hits = np.argwhere(dense != dense.transpose(1, 0, 2))
+  if len(hits):
+    i, j, s = (int(x) for x in hits[0])
     return WValidationReport(
-        ok=False, failure="symmetry", indices=sym,
+        ok=False, failure="symmetry", indices=(i, j, s),
         residual=Fraction(int(dense[i, j, s] - dense[j, i, s]), scale))
   # nonzero products of the join: up(k) entries W^{sk}_i times low(k)
   # entries W^{qp}_k; the slice products cost about n^5 multiply-adds in
@@ -501,7 +490,8 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
   is x p^T + y q^T, x = A(ijk) - A(ikj), y = A(jki) - A(ikj): zero iff its
   column at the first nonzero row (ps, qs) of [p q] is zero and [p q] has
   rank below 2 or x = y = 0.  Nonzero blocks are built in u order until one
-  has an entry u < v < t; for a symmetric W the first one has.
+  has an entry u < v < t; for a symmetric W the first one has.  No step
+  assumes W symmetric.
   """
   n, d = wd.shape[0], cd.shape[0]
   left, right = cd.reshape(d * d, d), cd.reshape(d, d * d)
@@ -546,8 +536,11 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
 
 def _certify_induced(wd: np.ndarray, cd: np.ndarray,
                      scale: int) -> JacobiReport:
-  """The table scan of T[(i,a), (j,b), (s,e)] = W^{ij}_s c_ab^e, the outer
-  product of ``wd`` and ``cd``, antisymmetric for a symmetric W."""
+  """Certify's residual [[u, v], t] + [[v, t], u] - [[u, t], v], u < v < t,
+  by the table kernel ``_jacobiator`` on T[(i,a), (j,b), (s,e)] =
+  W^{ij}_s c_ab^e, the outer product of ``wd`` and ``cd``, for any W: the
+  Jacobiator of T when W is symmetric (T is then antisymmetric), and the
+  same form read off the whole of T when it is not."""
   table = _outer(wd, cd)
   return _jacobiator(table, table, scale)
 
@@ -556,10 +549,12 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
                    cap: int = DEFAULT_CAP) -> JacobiReport:
   """Certify Jacobi for the extension bracket on G^n over basis triples.
 
-  The first violation (u, v, t, f), u < v < t, f = s*d + e, comes from G's
-  Jacobi identity (``_certify_rank_two``; ValueError if G fails it).  For a
-  symmetric W the Jacobiator of the induced table (``_certify_induced``)
-  must give the same report, or InternalCheckError is raised.
+  The residual at u < v < t is [[u, v], t] + [[v, t], u] - [[u, t], v],
+  the Jacobiator when W is symmetric.  The first violation (u, v, t, f),
+  f = s*d + e, comes from G's Jacobi identity (``_certify_rank_two``;
+  ValueError if G fails it).  For every W the scan of the induced table
+  (``_certify_induced``), which does not use that identity, must give the
+  same report, or InternalCheckError is raised.
   """
   n, d = w.n, c.dim
   _check_extension_dim(n * d, cap)
@@ -569,11 +564,10 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
   dtype = _exact_sum_dtype(bound)
   wd, cd = w.dense.astype(dtype), c.dense.astype(dtype)
   report = _certify_rank_two(wd, cd, w.scale * c.scale)
-  if _symmetry_violation(wd) is None:
-    table = _certify_induced(wd, cd, w.scale * c.scale)
-    if report != table:
-      raise InternalCheckError(
-          f"certify routes disagree: rank-two={report!r} table={table!r}")
+  table = _certify_induced(wd, cd, w.scale * c.scale)
+  if report != table:
+    raise InternalCheckError(
+        f"certify routes disagree: rank-two={report!r} table={table!r}")
   return report
 
 

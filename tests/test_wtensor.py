@@ -23,7 +23,8 @@ from liebundle import (InternalCheckError, JacobiReport, SizeCapError, WTensor,
                        wtensor_from_json, wtensor_to_json, wtensor_validate)
 from liebundle import (center_basis, make_structure_constants, so_sym_bundle,
                        wtensor)
-from liebundle.linalg import identity_matrix, mats_equal, nullspace, rank
+from liebundle.linalg import (_exact_sum_dtype, identity_matrix, mats_equal,
+                              nullspace, rank)
 from liebundle.wtensor import MAX_N, _SLICE_BLOCK
 
 F = Fraction
@@ -252,20 +253,37 @@ def bd_minus_fc(b, c, d, f):
                           (0, 1, 1): d, (1, 0, 1): d, (1, 1, 0): f})
 
 
+def validation_dtype(w):
+  """The dtype of W's validation routes: every product and partial sum of a
+  commutator or residual entry is at most 2*n*M^2 (M the largest cleared
+  entry)."""
+  return _exact_sum_dtype(2 * w.n * w.max_abs**2)
+
+
+def bound_cases():
+  """(W, validation dtype) with n = 2 and residual 1 at (0, 0, 1, 0), on
+  each side of the 2^53 and 2^62 bounds, and one whose residual float64
+  rounds away: (m + 1)^2 - m(m + 2) = 1, but (m + 1)^2 rounds to m(m + 2)."""
+  m = 2**27
+  cases = [(bd_minus_fc(m + 1, m + 2, m + 1, m), np.int64)]
+  for bits, below, above in ((53, np.float64, np.int64), (62, np.int64, object)):
+    top = isqrt((2**bits - 1) // 4)  # 2*2*top^2 < 2^bits <= 2*2*(top + 1)^2
+    cases += [(bd_minus_fc(top - 1, top, top - 1, top - 2), below),
+              (bd_minus_fc(top, top + 1, top, top - 1), above)]
+  return cases
+
+
 def test_exactness_bound_of_the_float64_route(monkeypatch):
-  # integers below 2^53 are exact in float64; every product and partial sum
-  # of a commutator or residual entry is at most 2*n*M^2 (M the largest
-  # cleared entry), so W takes the float64 route below that bound and object
-  # arrays above it
+  # integers below 2^53 are exact in float64, and below 2^63 in int64; W
+  # takes the float64 route while 2*n*M^2 < 2^53, int64 while it is below
+  # 2^62, and object arrays from there on
   dtypes = []
   slices = wtensor._validate_by_slices
   monkeypatch.setattr(wtensor, "_validate_by_slices", lambda dense, scale: (
       dtypes.append(dense.dtype) or slices(dense, scale)))
 
-  m = 2**27  # (m + 1)^2 - m(m + 2) = 1, but (m + 1)^2 rounds to m(m + 2)
-  top = isqrt(2**51)  # 2*2*top^2 < 2^53 <= 2*2*(top + 1)^2
-  for w, dtype in ((bd_minus_fc(m + 1, m + 2, m + 1, m), object),
-                   (bd_minus_fc(top - 1, top, top - 1, top - 2), np.float64)):
+  for w, dtype in bound_cases():
+    assert validation_dtype(w) == dtype
     for cross_check in (False, True):
       report = wtensor_validate(w, cross_check=cross_check)
       assert report == direct_oracle(w)
@@ -281,17 +299,14 @@ def test_exactness_bound_of_the_float64_route(monkeypatch):
 def test_exactness_bound_of_the_join():
   # n = 2 takes the slice route in wtensor_validate, so the join is called
   # on the same cleared copy directly
-  m, top = 2**27, isqrt(2**51)
-  for w, dtype in ((bd_minus_fc(m + 1, m + 2, m + 1, m), object),
-                   (bd_minus_fc(top - 1, top, top - 1, top - 2), np.float64),
-                   (bd_minus_fc(top, top + 1, top, top - 1), object)):
-    dense = w.dense.astype(wtensor._exact_dtype(w.n, w.max_abs))
+  for w, dtype in bound_cases():
+    dense = w.dense.astype(validation_dtype(w))
     assert dense.dtype == dtype
     report = wtensor._validate_by_join(dense, w.scale)
     assert report == direct_oracle(w)
     assert (report.indices, report.residual) == ((0, 0, 1, 0), 1)
   # the first case is one the float64 copy gets wrong
-  w = bd_minus_fc(m + 1, m + 2, m + 1, m)
+  w = bound_cases()[0][0]
   assert wtensor._validate_by_join(w.dense.astype(np.float64),
                                    w.scale) != direct_oracle(w)
 
@@ -327,10 +342,10 @@ def test_the_route_follows_the_nonzero_products(monkeypatch):
     ran.clear()
 
 
-def quadratic_routes(w):
+def quadratic_routes(w, dtype=None):
   """Reports of the join, the slice products and the direct contraction on
-  the cleared copy of a symmetric W."""
-  dense = w.dense.astype(wtensor._exact_dtype(w.n, w.max_abs))
+  the cleared copy of a symmetric W, in ``dtype`` or W's validation dtype."""
+  dense = w.dense.astype(dtype or validation_dtype(w))
   return [route(dense, w.scale) for route in (
       wtensor._validate_by_join, wtensor._validate_by_slices,
       wtensor._validate_direct)]
@@ -357,33 +372,37 @@ def seeded_symmetric_tensor(rng, kind):
     return planted_w(max(n, 4), [(x, a, q, value())])
   if kind == "zero":
     return make_wtensor(n, {})
-  # random entries; "gaps" keeps every other lower index empty, "big" puts
-  # them near 2^40, which takes object arrays
+  # random entries; "gaps" keeps every other lower index empty, "int64" puts
+  # them near 2^27, which takes int64 arrays, and "big" near 2^40, which
+  # takes object arrays
   lows = range(rng.randrange(2), n, 2) if kind == "gaps" else range(n)
   if not lows:
     return make_wtensor(n, {})
-  entries = {}
+  entries, top = {}, {"big": 2**40, "int64": 2**27}.get(kind)
   for _ in range(rng.randint(1, 3 * n)):
     i, j, s = rng.randrange(n), rng.randrange(n), rng.choice(lows)
     entries[(i, j, s)] = entries[(j, i, s)] = (
-        2**40 + rng.randint(-3, 3) if kind == "big" else value())
+        top + rng.randint(-3, 3) if top else value())
   return make_wtensor(n, entries)
 
 
 def test_join_slices_and_direct_agree_on_seeded_tensors():
   rng = random.Random(23)
-  kinds = ("family", "perturbed", "sparse", "planted", "big", "gaps", "zero")
+  kinds = ("family", "perturbed", "sparse", "planted", "big", "int64", "gaps",
+           "zero")
   seen, ones = Counter(), 0
-  for trial in range(1400):
+  for trial in range(1600):
     kind = kinds[trial % len(kinds)]
     w = seeded_symmetric_tensor(rng, kind)
     join, slices, direct = quadratic_routes(w)
     assert join == slices == direct, (kind, w.n, w.entries)
     seen[(kind, join.ok)] += 1
     ones += w.n == 1
-    if kind == "big":
-      assert wtensor._exact_dtype(w.n, w.max_abs) is object
-  for kind in ("perturbed", "sparse", "big", "gaps"):
+    if kind in ("big", "int64"):
+      assert validation_dtype(w) == (object if kind == "big" else np.int64)
+    if kind == "int64":  # the same reports in Python integers
+      assert quadratic_routes(w, object) == [join] * 3, (w.n, w.entries)
+  for kind in ("perturbed", "sparse", "big", "int64", "gaps"):
     assert seen[(kind, True)] and seen[(kind, False)] >= 20
   assert seen[("family", True)] == seen[("planted", False)] == 200
   assert seen[("zero", True)] == 200
@@ -719,7 +738,7 @@ def test_certify_matches_extension_bracket_oracle():
       assert jacobi_certify(w, g) == certify_oracle(w, g), (w, g.name)
 
 
-def test_certify_entries_beyond_int64():
+def test_certify_entries_beyond_int64(induced_route):
   sl2 = builtin_algebra("sl2")
   big = F(2**63 + 1)
   witness = make_wtensor(2, {(0, 1, 0): big, (1, 0, 0): big})  # scaled
@@ -727,6 +746,13 @@ def test_certify_entries_beyond_int64():
             witness,
             make_wtensor(2, {(0, 1, 1): big, (0, 0, 0): 1})):  # one-sided
     assert jacobi_certify(w, sl2) == certify_oracle(w, sl2)
+    assert induced_route[-1][0] == object
+  # a one-sided W in the int64 tier: 3*n*d*(Mw*Mc)^2 is about 2^56.2
+  w = make_wtensor(2, {(0, 1, 1): 2**25 + 1, (0, 0, 0): 2**25 - 3,
+                       (1, 1, 0): -2**25})
+  rep = jacobi_certify(w, sl2)
+  assert induced_route[-1] == (np.int64, rep) and not rep.ok
+  assert rep == certify_oracle(w, sl2)
   rep = jacobi_certify(witness, sl2)
   assert rep.violation == (0, 3, 4, 1) and rep.residual == 4 * big**2
   # over an abelian G every product vanishes, but W's entries must still
@@ -740,11 +766,10 @@ def test_certify_cross_checks_the_table_for_symmetric_w(monkeypatch):
   wrong = JacobiReport(ok=False, violation=(0, 1, 2, 0), residual=F(1))
   monkeypatch.setattr("liebundle.wtensor._certify_induced",
                       lambda wd, cd, scale: wrong)
-  with pytest.raises(InternalCheckError):
-    jacobi_certify(direct_sum_w(2), sl2)
-  # an asymmetric W has no table route, so the wrong table is never asked
-  one_sided = make_wtensor(2, {(0, 1, 1): 1, (0, 0, 0): 1})
-  assert jacobi_certify(one_sided, sl2) == certify_oracle(one_sided, sl2)
+  # a one-sided W is cross-checked by the same table route
+  for w in (direct_sum_w(2), make_wtensor(2, {(0, 1, 1): 1, (0, 0, 0): 1})):
+    with pytest.raises(InternalCheckError):
+      jacobi_certify(w, sl2)
 
 
 @pytest.fixture
@@ -912,7 +937,7 @@ def test_every_branch_of_the_block_zero_test(monkeypatch):
                                     (1, 3): {6: 1}, (1, 4): {5: 1},
                                     (2, 3): {5: 1}, (0, 6): {5: 2}})
   assert validate_structure_constants(n7).ok
-  built = []  # every (nd)^3 block is two outer products; a table is one
+  built = []  # every (nd)^3 block is two outer products; the table is one
   outer = wtensor._outer
   monkeypatch.setattr(wtensor, "_outer", lambda x, y: (
       built.append(x.shape) or outer(x, y)))
@@ -923,9 +948,7 @@ def test_every_branch_of_the_block_zero_test(monkeypatch):
     built.clear()
     rep = jacobi_certify(w, g)
     assert rep == certify_oracle(w, g) and rep.violation == violation
-    table = all(w.entries.get((j, i, s)) == v
-                for (i, j, s), v in w.entries.items())
-    assert len(built) == 2 * blocks + table, (w.entries, g.name)
+    assert len(built) == 2 * blocks + 1, (w.entries, g.name)
     return residual_blocks(w, g)
 
   # x = y = 0 for a valid W: no block is built, whatever the rank of [p q]
