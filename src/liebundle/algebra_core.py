@@ -3,9 +3,11 @@
 A bracket on a d-dimensional space is held as integers ``dense[a, b, e]``
 over a common ``scale`` (see ``linalg.cleared``), antisymmetric in (a, b),
 and read as the sparse view ``table[(a, b)] = {e: c_ab_e}`` for a < b.
-Everything here is exact: coefficients are Fractions, and the Jacobi
-scans run on float64 only below the bound where it holds every integer they
-compute (``linalg._exact_sum_dtype``).
+Fixed and user tables are built from that view; gl(p), so(p) and the so(p)
+bundle from x a y - y a x on a matrix basis (``_matrix_table``), and sums,
+pencils and coboundaries from their inputs' arrays.  Everything here is
+exact: coefficients are Fractions, and every array is computed in the tier
+of ``linalg._exact_sum_dtype`` for its bound.
 """
 
 from __future__ import annotations
@@ -14,19 +16,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 
 import numpy as np
 
 from .errors import InternalCheckError
 from .linalg import (ClearedTable, _exact_sum_dtype, cleared, frac_matrix,
-                     identity_matrix, nullspace, zeros_matrix)
+                     nullspace)
 from .rationals import as_fraction, format_rational
 
 MAX_DIM = 64
 
 Table = dict[tuple[int, int], dict[int, Fraction]]
+
+# [v, t]: v < t; its [:n, :n] corner serves a table of dimension n
+_UPPER = np.triu(np.ones((MAX_DIM, MAX_DIM), dtype=bool), 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,16 +52,17 @@ class StructureConstants(ClearedTable):
     """The nonzero {(a, b): {e: c_ab^e}} with a < b, in C order; the Python
     integer numerators dense[a, b, e] when not ``over_scale``."""
     table: dict = {}
-    upper = np.triu(np.ones((self.dim,) * 2, dtype=bool), 1)[:, :, None]
+    upper = _UPPER[:self.dim, :self.dim, None]
     for (a, b, e), v in self._fractions(upper, over_scale).items():
       table.setdefault((a, b), {})[e] = v
     return table
 
 
-def _from_numerators(dense: np.ndarray, scale: int) -> StructureConstants:
+def _from_numerators(dense: np.ndarray, scale: int,
+                     name: str | None = None) -> StructureConstants:
   """The table dense / scale, antisymmetric in its first two indices."""
   dense, scale = cleared(dense, scale)
-  return StructureConstants(dense.shape[0], dense, scale)
+  return StructureConstants(dense.shape[0], dense, scale, name)
 
 
 @dataclass(frozen=True)
@@ -153,51 +158,33 @@ def builtin_algebra(name: str) -> StructureConstants:
   dim = p * (p - 1) // 2 if family == "so" else p * p
   if dim > MAX_DIM:
     raise ValueError(f"{name} has dimension {dim}, above the cap {MAX_DIM}")
-  table = _so_table(p, identity_matrix(p)) if family == "so" else _gl_table(p)
-  return make_structure_constants(dim, table, name=name)
+  if family == "so":
+    basis, coordinates = so_matrix_basis(p), _UPPER[:p, :p]
+  else:
+    basis = np.identity(dim, dtype=np.int64).reshape(dim, p, p)
+    coordinates = np.ones((p, p), dtype=bool)
+  return _from_numerators(_matrix_table(
+      basis, np.identity(p, dtype=np.int64), coordinates), 1, name)
 
 
-def so_matrix_basis(p: int) -> list[np.ndarray]:
-  """Basis E_ab - E_ba of antisymmetric p x p matrices, (a, b) ascending."""
-  out = []
-  for a, b in combinations(range(p), 2):
-    mat = zeros_matrix(p, p)
-    mat[a, b], mat[b, a] = Fraction(1), Fraction(-1)
-    out.append(mat)
-  return out
+def so_matrix_basis(p: int) -> np.ndarray:
+  """Basis B_xy = E_xy - E_yx of antisymmetric p x p matrices, (x, y)
+  ascending with x < y, as a (p(p-1)/2, p, p) int64 stack."""
+  e = np.identity(p * p, dtype=np.int64).reshape(p, p, p, p)[_UPPER[:p, :p]]
+  return e - e.transpose(0, 2, 1)  # E_xy - E_yx
 
 
-def _gl_table(p: int) -> dict:
-  """[E_ab, E_cd] = d_bc E_ad - d_da E_cb, with E_ab at index a*p + b."""
-  brackets = {}
-  for u, v in combinations(range(p * p), 2):
-    (a, b), (c, d) = divmod(u, p), divmod(v, p)
-    coeffs = {a * p + d: 1} if b == c else {}
-    if d == a:
-      coeffs[c * p + b] = -1
-    if coeffs:
-      brackets[(u, v)] = coeffs
-  return brackets
-
-
-def _so_table(p: int, m) -> dict:
-  """Table of [x, y]_m = x m y - y m x on so(p) for a symmetric p x p
-  matrix ``m``; the identity gives the commutator.  In the basis
-  B_xy = E_xy - E_yx (x < y, ascending), with B_yx = -B_xy and B_xx = 0,
-  [B_ab, B_cd]_m = m_bc B_ad - m_ac B_bd - m_bd B_ac + m_ad B_bc."""
-  pairs = list(combinations(range(p), 2))
-  index = {pair: k for k, pair in enumerate(pairs)}
-  brackets = {}
-  for (u, (a, b)), (v, (c, d)) in combinations(enumerate(pairs), 2):
-    coeffs = {}
-    for weight, x, y in ((m[b][c], a, d), (-m[a][c], b, d),
-                         (-m[b][d], a, c), (m[a][d], b, c)):
-      if weight and x != y:
-        key, weight = ((x, y), weight) if x < y else ((y, x), -weight)
-        coeffs[index[key]] = weight
-    if coeffs:
-      brackets[(u, v)] = coeffs
-  return brackets
+def _matrix_table(basis: np.ndarray, a: np.ndarray,
+                  coordinates: np.ndarray) -> np.ndarray:
+  """Numerators c[u, v, e] of [x, y]_a = x a y - y a x on the (D, p, p)
+  integer ``basis`` (E_ab or B_xy) for an integer p x p ``a``: entry e, in C
+  order, of B_u a B_v - B_v a B_u where the p x p mask ``coordinates`` holds.
+  An entry of B_u a B_v is one product +-a_jk in these bases, so the tier of
+  ``_exact_sum_dtype`` for 2 max|a| holds every partial sum."""
+  dtype = _exact_sum_dtype(2 * int(np.abs(a).max()))
+  basis = basis.astype(dtype)
+  x = ((basis @ a.astype(dtype))[:, None] @ basis)[:, :, coordinates]
+  return x - x.transpose(1, 0, 2)
 
 
 def basis_vector(dim: int, a: int) -> tuple[Fraction, ...]:
@@ -224,10 +211,6 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
   """Matrix of ad_x = [x, .] in the chosen basis (columns are [x, e_b])."""
   return np.array([bracket_eval(c, x, basis_vector(c.dim, b))
                    for b in range(c.dim)], dtype=object).T
-
-
-# [v, t]: v < t; its [:n, :n] corner serves a table of dimension n
-_UPPER = np.triu(np.ones((MAX_DIM, MAX_DIM), dtype=bool), 1)
 
 
 def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
@@ -312,14 +295,14 @@ def _combine(first: StructureConstants, second: StructureConstants,
              lam: Fraction, mu: Fraction) -> StructureConstants:
   """lam * first + mu * second: k1 * first.dense + k2 * second.dense over
   den * first.scale * second.scale, with integers k1 = den * lam * second.scale
-  and k2 = den * mu * first.scale, in Python integers if a sum can pass 2^63."""
+  and k2 = den * mu * first.scale, in the tier of ``_exact_sum_dtype``."""
   k1, k2 = lam * second.scale, mu * first.scale
   den = lcm(k1.denominator, k2.denominator)
   k1, k2 = int(k1 * den), int(k2 * den)
-  x, y = first.dense, second.dense
-  bound = abs(k1) * max(first.max_abs, 1) + abs(k2) * max(second.max_abs, 1)
-  if bound >= 2**63:
-    x, y = x.astype(object), y.astype(object)
+  # max(., 1): k itself is converted to dtype, also for a zero table
+  dtype = _exact_sum_dtype(abs(k1) * max(first.max_abs, 1) +
+                           abs(k2) * max(second.max_abs, 1))
+  x, y = first.dense.astype(dtype), second.dense.astype(dtype)
   return _from_numerators(k1 * x + k2 * y, den * first.scale * second.scale)
 
 
@@ -382,10 +365,9 @@ def coboundary_of_one_cochain(c: StructureConstants, beta) -> StructureConstants
   if bmat.shape != (d, d):
     raise ValueError(f"one-cochain must be a {d} x {d} matrix")
   bnum, bscale = cleared(bmat.ravel().tolist())
-  x, bnum = c.dense, bnum.reshape(d, d)
   # an entry sums 3d products c_ab^g beta_ge of cleared numerators
-  if 3 * d * c.max_abs * int(np.abs(bnum).max()) >= 2**63:
-    x, bnum = x.astype(object), bnum.astype(object)
+  dtype = _exact_sum_dtype(3 * d * c.max_abs * int(np.abs(bnum).max()))
+  x, bnum = c.dense.astype(dtype), bnum.reshape(d, d).astype(dtype)
   # t[a, b, e] = sum_g c_ag^e beta_gb, the coefficients of [e_a, beta(e_b)]
   t = (x.transpose(0, 2, 1) @ bnum).transpose(0, 2, 1)
   return _from_numerators(t - t.transpose(1, 0, 2) - x @ bnum.T,

@@ -55,14 +55,17 @@ def cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
   and a positive scale with no common factor (zero has scale 1), so equal
   tables have equal forms; int64 when every numerator fits (|x| < 2^63, so
   they negate safely), else Python integers (object).  ``values`` is an
-  integer array, or ints and Fractions, which are put over the lcm of their
-  denominators (a flat array, with no common factor left: ``scale`` is 1)."""
+  integer array (float64 ones, of ``_exact_sum_dtype``'s tier, too), or
+  ints and Fractions, which are put over the lcm of their denominators (a
+  flat array, with no common factor left: ``scale`` is 1)."""
   if not isinstance(values, np.ndarray):
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     nums = [v.numerator * (den // v.denominator) for v in values]
     fits = -2**63 < min(nums, default=0) and max(nums, default=0) < 2**63
     return np.array(nums, dtype=np.int64 if fits else object), den
+  if values.dtype == np.float64:
+    values = values.astype(np.int64)
   if not values.any():
     return np.zeros(values.shape, dtype=np.int64), 1
   g = gcd(scale, int(np.gcd.reduce(values.ravel()))) if scale > 1 else 1

@@ -9,7 +9,8 @@ preserve the block pattern), its components are
 
 and the whole bracket is the coboundary of beta_A(X) = (AX + XA)/2 inside
 the full matrix algebra.  Everything here is exact: Fraction blocks in the
-public functions, cleared int64 blocks in sandwich_suite.
+public functions, cleared int64 blocks in sandwich_suite.  The so(p) bundle
+x a y - y a x is built like gl(p) and so(p), by ``algebra_core._matrix_table``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra_core import (StructureConstants, _so_table,
-                           make_structure_constants)
+from .algebra_core import (MAX_DIM, _UPPER, StructureConstants,
+                           _from_numerators, _matrix_table, so_matrix_basis)
 from .errors import InternalCheckError, SizeCapError
-from .linalg import frac_matrix, mats_equal
+from .linalg import cleared, frac_matrix, mats_equal
 
 Blocks = tuple[np.ndarray, ...]
 
@@ -94,11 +95,6 @@ def _sandwich(bx, ba, by) -> np.ndarray:
   return bx @ ba @ by - by @ ba @ bx
 
 
-def _bracket(x, a, y) -> np.ndarray:
-  return _checked(_sandwich(_embed(x), _embed(a), _embed(y)), *x.shape[:2],
-                  "sandwich bracket")
-
-
 def _component(x, a, y) -> np.ndarray:
   """The component formula, per i broadcast over (s, k): n^2 p^2 temporaries."""
   r = np.arange(len(x))
@@ -113,17 +109,14 @@ def _bprime(ba, mat) -> np.ndarray:
   return ba @ mat + mat @ ba
 
 
-def _coboundary_holds(a, x, y) -> bool:
-  """2(XAY - YAX) = [X, b'Y] - [Y, b'X] - b'([X, Y]), the coboundary
-  identity times 2, so integer stacks need no division."""
-  ba, bx, by = _embed(a), _embed(x), _embed(y)
+def _coboundary(ba, bx, by) -> np.ndarray:
+  """2 d(beta_A)(X, Y) = [X, b'Y] - [Y, b'X] - b'([X, Y]), b' = 2 beta_A."""
 
   def comm(m1, m2):
     return m1 @ m2 - m2 @ m1
 
-  rhs = (comm(bx, _bprime(ba, by)) - comm(by, _bprime(ba, bx)) -
-         _bprime(ba, comm(bx, by)))
-  return mats_equal(2 * _sandwich(bx, ba, by), rhs)
+  return (comm(bx, _bprime(ba, by)) - comm(by, _bprime(ba, bx)) -
+          _bprime(ba, comm(bx, by)))
 
 
 def sandwich_product(x, a, y) -> Blocks:
@@ -135,7 +128,9 @@ def sandwich_product(x, a, y) -> Blocks:
 
 def bracket_sandwich(x, a, y) -> Blocks:
   """Blocks of [x, y]_a = X A Y - Y A X via the embedding."""
-  return tuple(_bracket(*_stacks(x, a, y)))
+  xs, as_, ys = _stacks(x, a, y)
+  return tuple(_checked(_sandwich(_embed(xs), _embed(as_), _embed(ys)),
+                        *xs.shape[:2], "sandwich bracket"))
 
 
 def component_bracket(x, a, y) -> Blocks:
@@ -153,7 +148,8 @@ def beta_map(a, x) -> Blocks:
 def coboundary_identity_check(a, x, y) -> bool:
   """Exact identity X A Y - Y A X = [X, bY] - [Y, bX] - b([X, Y]) with
   b(M) = (A M + M A)/2, all commutators in the full np x np algebra."""
-  return _coboundary_holds(*_stacks(a, x, y))
+  ba, bx, by = (_embed(s) for s in _stacks(a, x, y))
+  return mats_equal(2 * _sandwich(bx, ba, by), _coboundary(ba, bx, by))
 
 
 def so_sym_bundle(p: int, a) -> StructureConstants:
@@ -161,16 +157,22 @@ def so_sym_bundle(p: int, a) -> StructureConstants:
 
   Basis: B_ab = E_ab - E_ba for a < b in ascending order.  For symmetric a
   the bracket closes on antisymmetric matrices and satisfies Jacobi, so the
-  result is a bona fide Lie algebra for every symmetric rational a.
+  result is a bona fide Lie algebra for every symmetric rational a.  It is
+  built by ``algebra_core._matrix_table`` on a's cleared numerators.
   """
   if p < 2:
     raise ValueError("so(p) bundle requires p >= 2")
+  if p * (p - 1) // 2 > MAX_DIM:
+    raise ValueError(f"so({p}) bundle has dimension {p * (p - 1) // 2}, "
+                     f"above the cap {MAX_DIM}")
   amat = frac_matrix(a)
   if amat.shape != (p, p):
     raise ValueError(f"parameter must be a {p} x {p} matrix")
   if not mats_equal(amat, amat.T):
     raise ValueError("bundle parameter must be symmetric")
-  return make_structure_constants(p * (p - 1) // 2, _so_table(p, amat))
+  nums, scale = cleared(amat.ravel().tolist())
+  return _from_numerators(_matrix_table(
+      so_matrix_basis(p), nums.reshape(p, p), _UPPER[:p, :p]), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,9 @@ def sandwich_suite(n: int, p: int, trials: int, seed: int) -> SandwichSuiteRepor
 
   Per trial (x, a, y): the triple product keeps the block pattern, the
   component formula matches the embedded bracket, and the coboundary
-  identity holds -- all exactly.  The work grows as trials * (n*p)^3, which
-  is checked against MAX_SANDWICH_WORK before any trial runs.
+  identity holds -- all exactly, on one embedding of each and one X A Y and
+  Y A X.  The work grows as trials * (n*p)^3, which is checked against
+  MAX_SANDWICH_WORK before any trial runs.
 
   The blocks are drawn cleared to int64 numerators over 12; each identity
   is homogeneous of degree 3 in (x, a, y), so the scaling keeps every
@@ -229,12 +232,13 @@ def sandwich_suite(n: int, p: int, trials: int, seed: int) -> SandwichSuiteRepor
   closure = component = coboundary = 0
   for _ in range(trials):
     x, a, y = (_random_blocks(rng, n, p) for _ in range(3))
-    if has_circulant_pattern(_embed(x) @ _embed(a) @ _embed(y), n, p):
-      closure += 1
-    if mats_equal(_component(x, a, y), _bracket(x, a, y)):
-      component += 1
-    if _coboundary_holds(a, x, y):
-      coboundary += 1
+    bx, ba, by = _embed(x), _embed(a), _embed(y)
+    xay = bx @ ba @ by
+    bracket = xay - by @ ba @ bx
+    closure += has_circulant_pattern(xay, n, p)
+    component += mats_equal(_component(x, a, y),
+                            _checked(bracket, n, p, "sandwich bracket"))
+    coboundary += mats_equal(2 * bracket, _coboundary(ba, bx, by))
   return SandwichSuiteReport(n=n, p=p, trials=trials, seed=seed,
                              closure_ok=closure, component_ok=component,
                              coboundary_ok=coboundary)

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra_core import (MAX_DIM, JacobiReport, StructureConstants,
+from .algebra_core import (_UPPER, MAX_DIM, JacobiReport, StructureConstants,
                            _from_numerators, _jacobiator, basis_vector,
                            bracket_eval)
 from .errors import InternalCheckError, SizeCapError
@@ -458,17 +458,15 @@ def induced_structure_constants(w: WTensor, c: StructureConstants,
   """Structure constants of the extension on G^n via the product formula
   c'_{(i,a),(j,b)}^{(s,e)} = W^{ij}_s c_ab^e, with flat index (i, a) = i*d + a.
 
-  The table is the outer product of the cleared arrays, in Python integers
-  where a product can reach 2^63; for v < u it is set to minus the (u, v)
-  brackets, so an asymmetric W keeps its u < v half.
+  The table is the outer product of the cleared arrays, in the tier of
+  ``_exact_sum_dtype`` for their largest product Mw*Mc; for v < u it is set
+  to minus the (u, v) brackets, so an asymmetric W keeps its u < v half.
   """
   n, d = w.n, c.dim
   _check_extension_dim(n * d, cap)
-  wd, cd = w.dense, c.dense
-  if w.max_abs * c.max_abs >= 2**63:
-    wd, cd = wd.astype(object), cd.astype(object)
-  table = _outer(wd, cd)
-  upper = np.triu(np.ones((n * d,) * 2, dtype=bool), 1)[:, :, None]
+  dtype = _exact_sum_dtype(w.max_abs * c.max_abs)
+  table = _outer(w.dense.astype(dtype), c.dense.astype(dtype))
+  upper = _UPPER[:n * d, :n * d, None]
   return _from_numerators(np.where(upper, table, -table.transpose(1, 0, 2)),
                           w.scale * c.scale)
 
@@ -519,7 +517,7 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
   column = (coef @ orders.reshape(3, -1) != 0).reshape(d, n, -1).any(axis=2)
   same = (orders == orders[2]).reshape(3, n, -1)
   blocks = column.T | rank2 & ~(same[0] & same[1]).all(axis=1)[:, None]
-  later = np.triu(np.ones((n * d,) * 2, dtype=bool), 1)  # later[v, t]: t > v
+  later = _UPPER[:n * d, :n * d]  # later[v, t]: t > v
   for u in np.flatnonzero(blocks).tolist():
     i, a = divmod(u, d)
     # A(ikj) D(acb) at [v, t] is A(ijk) D(abc) at [t, v]

@@ -18,7 +18,7 @@ from liebundle import (InternalCheckError, JacobiReport, ad_matrix, basis_vector
                        structure_constants_to_json, sum_bracket_table,
                        validate_structure_constants)
 from liebundle import circulant_w, induced_structure_constants, make_wtensor
-from liebundle import algebra_core
+from liebundle import algebra_core, wtensor
 from liebundle.algebra_core import so_matrix_basis
 from liebundle.linalg import nullspace
 
@@ -106,6 +106,31 @@ def test_closed_form_tables_match_matrix_commutators():
     m = m + m.T
     assert so_sym_bundle(p, m.tolist()).table == _commutator_table(
         so_basis, so_pairs, m)
+  for p in range(7, 12):
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    one = np.identity(p, dtype=np.int64)
+    if p <= 8:
+      gl_basis = list(np.identity(p * p, dtype=np.int64).reshape(-1, p, p))
+      assert builtin_algebra(f"gl({p})").table == _commutator_table(
+          gl_basis, [divmod(e, p) for e in range(p * p)], one)
+    assert builtin_algebra(f"so({p})").table == _commutator_table(
+        list(so_matrix_basis(p)), pairs, one)
+  # bundles with numerators on each side of 2^53 and 2^62 and beyond 2^63,
+  # and with the builder's bound 2 max|m| on each side of the float64 and
+  # int64 tiers (2^53, 2^62): [B_01, B_02]_m = m_10 B_02 - m_02 B_01 -
+  # m_00 B_12
+  for top in (2**52 - 1, 2**52 + 1, 2**53 - 1, 2**53 + 1, 2**61 - 1,
+              2**61 + 1, 2**62 - 1, 2**62 + 1, 2**63 + 1):
+    for p in (3, 4):
+      m = np.array([[rng.choice((0, 1, -2, top, 1 - top)) for _ in range(p)]
+                    for _ in range(p)], dtype=object)
+      m = np.triu(m) + np.triu(m, 1).T
+      m[0, 0], m[0, 1], m[1, 0], m[0, 2], m[2, 0] = 1 - top, 0, 0, top, top
+      basis = [b.astype(object) for b in so_matrix_basis(p)]
+      pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+      bundle = so_sym_bundle(p, m.tolist())
+      assert bundle.table == _commutator_table(basis, pairs, m)
+      assert bundle.table[(0, 1)] == {0: -top, p - 1: top - 1}
 
 
 def test_matrix_families_over_the_dimension_cap():
@@ -384,7 +409,7 @@ def assert_canonical(c, brackets):
   assert np.array_equal(c.dense, -c.dense.transpose(1, 0, 2))
 
 
-def test_computed_tables_are_canonical():
+def test_computed_tables_are_canonical(monkeypatch):
   so3 = {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}
   twos = make_structure_constants(3, {k: {e: 2 * v for e, v in coeffs.items()}
                                       for k, coeffs in so3.items()})
@@ -410,6 +435,34 @@ def test_computed_tables_are_canonical():
       make_wtensor(1, {(0, 0, 0): F(1, 2)}), twos), so3)
   for c in (twos, halves, builtin_algebra("gl(3)")):
     assert_canonical(c, c.table)
+  # sums, pencils, coboundaries and induced tables compute in the tier of
+  # the shared rule for their bound: float64 about 2^52, and int64 about
+  # 2^60, where every result is an odd integer above 2^53, which float64
+  # cannot hold
+  tiers = []
+  for module in (algebra_core, wtensor):
+    rule = module._exact_sum_dtype
+    monkeypatch.setattr(module, "_exact_sum_dtype", lambda bound, rule=rule: (
+        tiers.append(rule(bound)) or rule(bound)))
+  for bits, dtype in ((52, np.float64), (60, np.int64)):
+    half = 2**(bits - 1)
+    x = make_structure_constants(3, {(0, 1): {2: half + 1}})
+    y = make_structure_constants(3, {(0, 1): {2: half}, (1, 2): {0: 3}})
+    assert_canonical(sum_bracket_table(x, y),
+                     {(0, 1): {2: 2 * half + 1}, (1, 2): {0: 3}})
+    assert tiers[-1] == dtype
+    assert_canonical(pencil_bracket(x, x, 2, -1), {(0, 1): {2: half + 1}})
+    assert tiers[-1] == dtype
+    # beta = k e_0 e_0^T keeps [e_0, e_1] = e_2 times k, on a bound 9 M k
+    k = 2**(bits - 1) // 9 | 1
+    assert_canonical(coboundary_of_one_cochain(
+        make_structure_constants(3, {(0, 1): {2: 1}}),
+        [[k, 0, 0], [0, 0, 0], [0, 0, 0]]), {(0, 1): {2: k}})
+    assert tiers[-1] == dtype
+    assert_canonical(induced_structure_constants(
+        make_wtensor(1, {(0, 0, 0): 3}), x), {(0, 1): {2: 3 * half + 3}})
+    assert tiers[-1] == dtype
+  monkeypatch.undo()
   # sums and products that pass 2^63 leave int64 for Python integers
   big = make_structure_constants(3, {(0, 1): {2: 2**62}})
   for c in (sum_bracket_table(big, big), pencil_bracket(big, big, 2, 0),

@@ -1,6 +1,7 @@
 """Block-circulant sandwich brackets and the so(p)/sym(p) bundle."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from liebundle import (InternalCheckError, SandwichSuiteReport, beta_map,
                        bracket_sandwich,
                        builtin_algebra, circulant_w, coboundary_identity_check,
-                       component_bracket, embed_circulant, extension_bracket,
-                       extract_blocks, has_circulant_pattern, sandwich_product,
-                       sandwich_suite, so_sym_bundle, sum_bracket_table,
+                       coboundary_of_one_cochain, component_bracket,
+                       embed_circulant, extension_bracket, extract_blocks,
+                       has_circulant_pattern, sandwich_product, sandwich_suite,
+                       so_sym_bundle, sum_bracket_table,
                        validate_structure_constants)
 from liebundle import matrix_bundle
+from liebundle.algebra_core import so_matrix_basis
 from liebundle.linalg import frac_matrix, identity_matrix, mats_equal, zeros_matrix
 
 F = Fraction
@@ -257,6 +260,30 @@ def test_bundle_parameter_validation():
     so_sym_bundle(3, identity_matrix(2))
   with pytest.raises(ValueError):
     so_sym_bundle(1, identity_matrix(1))
+  # the dimension p(p-1)/2 is refused before any work on the parameter
+  big = identity_matrix(60)
+  for p, a in ((12, identity_matrix(12)), (60, big), (60, big[:2, :2])):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"above the cap 64$"):
+      so_sym_bundle(p, a)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_bundle_is_the_coboundary_of_beta():
+  # x a y - y a x = [x, b(y)] - [y, b(x)] - b([x, y]) with
+  # b(x) = (a x + x a) / 2: the coboundary of beta_a on so(p), a second
+  # formula for the bundle's table; beta_a's column j is b(B_j) in the
+  # basis B_xy, read off at the positions x < y
+  rng = random.Random(18)
+  for k in range(60):
+    p = 2 + k % 5
+    a = rand_sym_blocks(rng, 1, p)[0]
+    images = [(a.dot(m) + m.dot(a)) * F(1, 2)
+              for m in so_matrix_basis(p).astype(object)]
+    upper = [(x, y) for x in range(p) for y in range(x + 1, p)]
+    beta = [[image[pos] for image in images] for pos in upper]
+    assert so_sym_bundle(p, a) == coboundary_of_one_cochain(
+        builtin_algebra(f"so({p})"), beta)
 
 
 # ---------------------------------------------------------------------------
