@@ -172,7 +172,7 @@ def cmd_make_w(args) -> int:
 def cmd_validate_w(args) -> int:
   w = wtensor_from_json(_load_json(args.input))
   report = wtensor_validate(w, cross_check=args.cross_check)
-  fields = [_field("n", w.n), _field("entries", int((w.dense != 0).sum())),
+  fields = [_field("n", w.n), _field("entries", len(w.entries)),
             _verdict(report.ok)]
   if not report.ok:
     fields += [_field("failure", report.failure),

@@ -16,14 +16,17 @@ multiply-adds and the batched products of the slice commutators, and those
 otherwise; sparse families such as Leibnitz, direct sums and their
 deformations take the join, dense circulants the slices.  The dense direct
 contraction of the identity cross-checks either: a second formula for the
-slices, a second evaluation, over every product, for the join.  All three
-run on one copy of the cleared numerators, in the dtype (float64, int64 or
-Python integers) of ``linalg._exact_sum_dtype`` for their bound 2*n*M^2.
+slices, a second evaluation, over every product, for the join.  The
+symmetry scan, the route switch, the join and the ``entries`` view read W's
+cached nonzero entries (``WTensor._nonzero``), the others a dense copy, in
+the dtype (float64, int64 or Python integers) of
+``linalg._exact_sum_dtype`` for their bound 2*n*M^2.
 Certifying an extension on G^n runs two formulas for every W.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,8 +44,6 @@ from .rationals import as_fraction, format_rational
 MAX_N = 64
 DEFAULT_CAP = 64
 
-Entries = dict[tuple[int, int, int], Fraction]
-
 
 @dataclass(frozen=True, eq=False)
 class WTensor(ClearedTable):
@@ -52,18 +53,50 @@ class WTensor(ClearedTable):
   scale: int
 
   @cached_property
+  def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+    """W's coordinate form: the flat indices of its nonzero entries into
+    ``dense``, in C order of (i, j, s), and their numerators."""
+    flat = np.flatnonzero(self.dense != 0)  # faster than on the integers
+    nums = self.dense.ravel()
+    return flat, nums[flat] if len(flat) < len(nums) else nums
+
+  @cached_property
   def entries(self) -> Entries:
-    """The nonzero entries {(i, j, s): W^{ij}_s}, one Fraction per distinct
-    value, in C order (or in the order given to ``make_wtensor``)."""
-    return self._fractions()
+    """The nonzero entries {(i, j, s): W^{ij}_s}, always in C order."""
+    return Entries(self)
 
   @cached_property
   def _pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
     """Index {(i, j): [(s, W^{ij}_s), ...]} for bracket evaluation."""
+    nums = self._nonzero[1].tolist()
+    value = {x: Fraction(x, self.scale) for x in set(nums)}
     idx: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (i, j, s), v in self.entries.items():
-      idx.setdefault((i, j), []).append((s, v))
+    for (i, j, s), x in zip(self.entries, nums):
+      idx.setdefault((i, j), []).append((s, value[x]))
     return idx
+
+
+class Entries(Mapping):
+  """{(i, j, s): W^{ij}_s} over W's nonzero entries, in C order, read off
+  its coordinate form: a Fraction is built only when a value is read."""
+
+  def __init__(self, w: WTensor):
+    self._w = w
+
+  def __len__(self) -> int:
+    return len(self._w._nonzero[0])
+
+  def __iter__(self):
+    where = np.unravel_index(self._w._nonzero[0], self._w.dense.shape)
+    return zip(*(a.tolist() for a in where))
+
+  def __getitem__(self, key) -> Fraction:
+    w = self._w
+    if type(key) is tuple and len(key) == 3 and all(
+        isinstance(x, (int, np.integer)) and 0 <= x < w.n for x in key):
+      if x := int(w.dense[key]):
+        return Fraction(x, w.scale)
+    raise KeyError(key)
 
 
 @dataclass(frozen=True)
@@ -117,10 +150,7 @@ def make_wtensor(n: int, entries) -> WTensor:
   _check_n(n)
   parsed, distinct = {}, {Fraction(0): 0}
   codes = {key: _code(v, parsed, distinct) for key, v in entries.items()}
-  values = list(distinct)
-  w = _assemble(n, codes, values)
-  w.__dict__["entries"] = {key: values[c] for key, c in codes.items() if c}
-  return w
+  return _assemble(n, codes, list(distinct))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +231,8 @@ def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
   Every block is scanned, since a later block or a later s may hold a
   smaller i."""
   n = dense.shape[0]
-  slices = dense.transpose(0, 2, 1)  # [k, i, j]
+  # [k, i, j], contiguous: strided slices made each batched product copy
+  slices = np.ascontiguousarray(dense.transpose(0, 2, 1))
   best = None
   for s in range(n - 1):
     for q0 in range(s + 1, n, _SLICE_BLOCK):
@@ -223,7 +254,9 @@ def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
 
 # products W^{sk}_i W^{qp}_k per chunk of whole lower indices i: the chunk's
 # arrays stay near 1 MB; chunks of 2^16 products raised the peak memory
-# of a ``tables`` benchmark run from 46.6 to 49.8 MB and gained no speed
+# of a ``tables`` benchmark run from 46.6 to 49.8 MB and gained no speed.
+# Also the entries per chunk of the symmetry scan: unchunked, its fresh
+# n^3-sized temporaries took 2-3 times as long on a dense W
 _JOIN_CHUNK = 2**13
 # costs in slice multiply-adds (0.064 ns each on one core), fitted on Leibnitz,
 # deformed, direct-sum and circulant tensors with n = 2..64: a joined product
@@ -234,21 +267,21 @@ _BATCH_COST = 170_000
 _JOIN_CALL = 800_000
 
 
-def _validate_by_join(dense: np.ndarray, scale: int) -> WValidationReport:
-  """Quadratic identity of a symmetric W from its cleared dense copy
-  (see ``wtensor_validate`` for its dtype), evaluated on its nonzero
-  products only: each entry W^{sk}_i joins the entries W^{qp}_k with lower
-  index k, and for s != q adds +-W^{sk}_i W^{qp}_k at (i, min(s,q),
-  max(s,q), p), the residual of the direct contraction with s < q.
+def _validate_by_join(n: int, flat: np.ndarray, vals: np.ndarray,
+                      scale: int) -> WValidationReport:
+  """Quadratic identity of a symmetric W from its coordinate form (flat
+  indices in C order of (i, j, s), cleared numerators ``vals`` in the dtype
+  of ``wtensor_validate``), evaluated on its nonzero products only: each
+  entry W^{sk}_i joins the entries W^{qp}_k with lower index k, and for
+  s != q adds +-W^{sk}_i W^{qp}_k at (i, min(s,q), max(s,q), p), the
+  residual of the direct contraction with s < q.
 
   A key sums at most 2*n products, within the dtype's bound.  Whole
   lower indices i are summed in ascending chunks, so the first chunk with a
   nonzero sum holds the lexicographically first (i, s, q, p)."""
-  n = dense.shape[0]
-  flat = np.flatnonzero(dense)
-  flat = flat[np.argsort(flat % n, kind="stable")]  # C order of [i, s, k]
-  vals = dense.ravel()[flat]
-  up_s, up_k, low_i = np.unravel_index(flat, dense.shape)
+  order = np.argsort(flat % n, kind="stable")  # C order of [i, s, k]
+  flat, vals = flat[order], vals[order]
+  up_s, up_k, low_i = np.unravel_index(flat, (n, n, n))
   # entries of lower index k are bounds[k]:bounds[k + 1]
   bounds = np.searchsorted(low_i, np.arange(n + 1))
   width = np.diff(bounds)[up_k]  # partners of each entry
@@ -313,8 +346,9 @@ def _validate_direct(dense: np.ndarray, scale: int) -> WValidationReport:
 def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport:
   """Decide whether W defines a Lie bracket for every Lie algebra G.
 
-  Both identities are checked on W's cleared numerators ``w.dense`` -- the
-  quadratic identity is homogeneous, so scaling cannot change the verdict.
+  Both identities are checked on W's cleared numerators (``w._nonzero``,
+  or a copy of ``w.dense`` for the slices) -- the quadratic identity is
+  homogeneous, so scaling cannot change the verdict.
   A slice commutator entry, or a residual of the quadratic identity, is a
   difference of two sums of n products of entries at most M, so all routes
   run in the dtype of ``_exact_sum_dtype`` for the bound 2*n*M^2.
@@ -330,27 +364,41 @@ def wtensor_validate(w: WTensor, cross_check: bool = False) -> WValidationReport
   too and precedes it, so nothing is missed).
   """
   n, scale = w.n, w.scale
-  dense = w.dense.astype(_exact_sum_dtype(2 * n * w.max_abs**2))
-  hits = np.argwhere(dense != dense.transpose(1, 0, 2))
-  if len(hits):
-    i, j, s = (int(x) for x in hits[0])
+  flat, nums, dense = *w._nonzero, w.dense.ravel()
+  # symmetry: each entry against its mirror (j, i, s), which lies delta[i, j]
+  # = (j - i)(n^2 - n) on; the least mismatching entry or mirror is the
+  # first violation.  low[k] counts the entries W^{qp}_k
+  r = np.arange(n) * (n - n * n)
+  delta = np.subtract.outer(r, r).ravel()
+  first, low = n**3, np.zeros(n, dtype=np.intp)
+  for c in range(0, len(flat), _JOIN_CHUNK):
+    k = flat[c:c + _JOIN_CHUNK]
+    ij = k // n
+    mirror = k + delta[ij]
+    miss = dense.take(mirror) != nums[c:c + _JOIN_CHUNK]
+    if miss.any():
+      first = min(first, k[miss][0], mirror[miss].min())
+    low += np.bincount(k - ij * n, minlength=n)
+  if first < n**3:
+    i, j, s = (int(x) for x in np.unravel_index(first, w.dense.shape))
     return WValidationReport(
         ok=False, failure="symmetry", indices=(i, j, s),
-        residual=Fraction(int(dense[i, j, s] - dense[j, i, s]), scale))
-  # nonzero products of the join: up(k) entries W^{sk}_i times low(k)
-  # entries W^{qp}_k; the slice products cost about n^5 multiply-adds in
-  # ceil((n - 1 - s) / _SLICE_BLOCK) batches for each s.  W is symmetric, so
-  # up(k) also counts the entries W^{ks}_i of row block k, a contiguous sum
-  nonzero = dense != 0
-  joined = int(nonzero.reshape(n, n * n).sum(axis=1)
-               @ nonzero.reshape(n * n, n).sum(axis=0))
+        residual=Fraction(int(w.dense[i, j, s]) - int(w.dense[j, i, s]), scale))
+  # nonzero products of the join: up(k) entries W^{sk}_i, as many as W^{ks}_i
+  # (W is symmetric, and they are a run of flat), times low(k) entries
+  # W^{qp}_k; the slice products cost about n^5 multiply-adds in
+  # ceil((n - 1 - s) / _SLICE_BLOCK) batches for each s
+  up = np.diff(np.searchsorted(flat, np.arange(0, n**3 + 1, n * n)))
+  joined = int(up @ low)
   batches = sum(-(-m // _SLICE_BLOCK) for m in range(1, n))
+  top = max(int(nums.max(initial=0)), -int(nums.min(initial=0)))  # M
+  dtype = _exact_sum_dtype(2 * n * top**2)
   if joined * _JOIN_COST + _JOIN_CALL < n**5 + batches * _BATCH_COST:
-    report = _validate_by_join(dense, scale)
+    report = _validate_by_join(n, flat, nums.astype(dtype), scale)
   else:
-    report = _validate_by_slices(dense, scale)
+    report = _validate_by_slices(w.dense.astype(dtype), scale)
   if cross_check:
-    direct = _validate_direct(dense, scale)
+    direct = _validate_direct(w.dense.astype(dtype), scale)
     if report != direct:
       raise InternalCheckError(
           f"validation routes disagree: slices={report!r} direct={direct!r}")
@@ -375,8 +423,9 @@ def truncate_to_solvable(w: WTensor) -> WTensor:
   if not report.ok:
     raise ValueError(f"cannot truncate an invalid tensor ({report.failure} "
                      f"violation at {report.indices})")
-  # re-cleared: the numerators left may share a factor with the scale
-  return WTensor(w.n - 1, *cleared(w.dense[1:, 1:, 1:], w.scale))
+  # re-cleared: the numerators left may share a factor with the scale; a
+  # contiguous copy, or every ravel() of the coordinate form copies it again
+  return WTensor(w.n - 1, *cleared(w.dense[1:, 1:, 1:].copy(), w.scale))
 
 
 def filtration_support_check(w: WTensor) -> bool:
@@ -385,7 +434,7 @@ def filtration_support_check(w: WTensor) -> bool:
   This is the support condition making F^(k) = span(components >= k) a
   descending chain of ideals in solvable form.
   """
-  i, j, s = np.nonzero(w.dense)
+  i, j, s = np.unravel_index(w._nonzero[0], w.dense.shape)
   return bool((s > np.maximum(i, j)).all())
 
 
@@ -395,7 +444,7 @@ def max_abelian_filtration_ideal(w: WTensor) -> int:
   F^(k) for that k is abelian under the extension bracket, universally in G.
   Returns 0 for the zero tensor; may return n (only F^(n) = 0 is abelian).
   """
-  i, j, _ = np.nonzero(w.dense)
+  i, j, _ = np.unravel_index(w._nonzero[0], w.dense.shape)
   return 1 + int(np.minimum(i, j).max(initial=-1))
 
 
@@ -576,11 +625,10 @@ def jacobi_certify(w: WTensor, c: StructureConstants,
 def wtensor_to_json(w: WTensor) -> dict:
   """Canonical JSON-ready dict, entries sorted by (i, j, k) (C order); each
   distinct value is formatted once."""
-  where = np.nonzero(w.dense)
-  nums = w.dense[where].tolist()
+  nums = w._nonzero[1].tolist()
   text = {x: format_rational(Fraction(x, w.scale)) for x in set(nums)}
   entries = [{"i": i, "j": j, "k": s, "value": text[x]}
-             for i, j, s, x in zip(*(a.tolist() for a in where), nums)]
+             for (i, j, s), x in zip(w.entries, nums)]
   return {"n": w.n, "entries": entries}
 
 

@@ -3,6 +3,7 @@
 import random
 import re
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from math import isqrt
 
@@ -117,6 +118,130 @@ def test_make_wtensor_bounds():
     make_wtensor(True, {})
   # zero values are dropped
   assert make_wtensor(2, {(0, 0, 0): 0}).entries == {}
+
+
+def entries_cases(rng):
+  """Tensors of every builder and loader, some with numerators beyond
+  2^63 (Python integers)."""
+  cases = [leibnitz_w(6), direct_sum_w(5), leibnitz_deform(7, F(-7, 3)),
+           circulant_w(rand_alpha(rng, 6)), make_wtensor(1, {}),
+           invalid_witness_w(), truncate_to_solvable(leibnitz_w(6)),
+           wtensor_from_json(wtensor_to_json(leibnitz_deform(5, F(2, 3)))),
+           make_wtensor(3, {(0, 1, 2): 2**70 + 1, (1, 0, 2): -2**64,
+                            (2, 2, 2): F(1, 3)})]
+  for _ in range(20):
+    n = rng.randint(1, 8)
+    cases.append(make_wtensor(n, {
+        tuple(rng.randrange(n) for _ in range(3)): rng.choice(
+            (2**70 + 1, -2**64 - 3, F(2**63, 7), 3)) for _ in range(3 * n)}))
+  return cases + [seeded_symmetric_tensor(rng, kind) for _ in range(20)
+                  for kind in ("sparse", "perturbed", "int64", "big", "gaps")]
+
+
+def test_entries_is_a_read_only_view_in_c_order():
+  rng = random.Random(41)
+  objects = 0
+  for w in entries_cases(rng):
+    view, expected = w.entries, w._fractions()
+    assert isinstance(view, Mapping) and not isinstance(view, dict)
+    assert len(view) == np.count_nonzero(w.dense) == len(expected)
+    assert view == expected and expected == view
+    assert dict(view) == expected
+    assert list(view.items()) == list(expected.items())  # C order
+    with pytest.raises(TypeError):
+      view[(0, 0, 0)] = F(1)
+    n = w.n
+    for key in ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (n, 0, 0), (0, n, 0),
+                (0, 0, n), (0, 0), (0, 0, 0, 0), (), 0, [0, 0, 0], "abc",
+                None):
+      assert view.get(key) is None and key not in view
+    for i, j, s in list(view)[:10]:  # a negative index does not wrap
+      assert view.get((i - n, j, s)) is view.get((i, j, s - n)) is None
+    for key in np.argwhere(w.dense == 0)[:10].tolist():
+      assert view.get(tuple(key)) is None
+    objects += w.dense.dtype == object
+  assert objects >= 10
+  # the negative index of a present entry, which an array index would wrap
+  assert (5, 0, 5) in leibnitz_w(6).entries
+  assert leibnitz_w(6).entries.get((-1, 0, -1)) is None
+
+
+def test_entries_counts_and_iterates_without_fractions(monkeypatch):
+  w = circulant_w(range(1, 33))
+  monkeypatch.setattr(wtensor, "Fraction", None)  # any Fraction would fail
+  assert len(w.entries) == 32**3
+  assert list(w.entries)[:2] == [(0, 0, 0), (0, 0, 1)]
+
+
+def dense_symmetry_oracle(w):
+  """The dense symmetry scan the coordinate form replaced: the first
+  (i, j, s) in C order with W^{ij}_s != W^{ji}_s on the cleared copy, or
+  None when W is symmetric."""
+  dense = w.dense.astype(validation_dtype(w))
+  hits = np.argwhere(dense != dense.transpose(1, 0, 2))
+  if not len(hits):
+    return None
+  i, j, s = (int(x) for x in hits[0])
+  return WValidationReport(
+      ok=False, failure="symmetry", indices=(i, j, s),
+      residual=F(int(dense[i, j, s] - dense[j, i, s]), w.scale))
+
+
+def seeded_one_sided_tensor(rng, kind):
+  """A W, n up to 12, that fails symmetry at one or more (i, j, s), i < j:
+  "zero-first" keeps only (j, i, s), "zero-second" only (i, j, s), "unequal"
+  both sides with different values, "several" a few of each; "int64" and
+  "big" put numerators near 2^27 and 2^70 into an "unequal" or one-sided
+  break."""
+  n = rng.randint(2, 12)
+  top = {"int64": 2**27, "big": 2**70}.get(kind)
+  value = lambda: (top + rng.randint(-3, 3) if top else
+                   F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2, 3))))
+  entries = {}
+  for _ in range(rng.randint(0, 3 * n)):
+    i, j, s = (rng.randrange(n) for _ in range(3))
+    entries[(i, j, s)] = entries[(j, i, s)] = value()
+  breaks = {"several": rng.randint(2, 4)}.get(kind, 1)
+  for _ in range(breaks):
+    (i, j), s = sorted(rng.sample(range(n), 2)), rng.randrange(n)
+    how = kind if kind in ("zero-first", "zero-second", "unequal") else (
+        rng.choice(("zero-first", "zero-second", "unequal")))
+    a, b = value(), value()
+    while b == a:
+      b = value()
+    entries[(i, j, s)], entries[(j, i, s)] = {
+        "zero-first": (0, a), "zero-second": (a, 0), "unequal": (a, b)}[how]
+  return make_wtensor(n, entries)
+
+
+def test_symmetry_scan_matches_the_dense_scan():
+  # the coordinate scan gathers each entry's mirror; the dense scan compares
+  # every cell with its transpose.  The reports, and so the first violation
+  # and its residual, must be equal
+  rng = random.Random(31)
+  kinds = ("zero-first", "zero-second", "unequal", "several", "int64", "big")
+  seen = Counter()
+  for trial in range(1200):
+    kind = kinds[trial % len(kinds)]
+    w = seeded_one_sided_tensor(rng, kind)
+    expected = dense_symmetry_oracle(w)
+    assert expected is not None
+    assert wtensor_validate(w) == expected, (kind, w.n, dict(w.entries))
+    i, j, s = expected.indices
+    seen[(kind, (i, j, s) in w.entries, (j, i, s) in w.entries)] += 1
+    seen[(kind, w.dense.dtype)] += 1
+  assert seen[("zero-first", False, True)] == 200
+  assert seen[("zero-second", True, False)] == 200
+  assert seen[("unequal", True, True)] == 200
+  for kind in ("several", "int64", "big"):
+    assert seen[(kind, False, True)] and seen[(kind, True, True)]
+  assert seen[("int64", np.dtype(np.int64))] == 200
+  assert seen[("big", np.dtype(object))] == 200
+  # and a symmetric W passes the scan
+  for trial in range(200):
+    w = seeded_symmetric_tensor(rng, ("sparse", "family", "big")[trial % 3])
+    assert dense_symmetry_oracle(w) is None
+    assert wtensor_validate(w).failure != "symmetry"
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +415,40 @@ def test_exactness_bound_of_the_float64_route(monkeypatch):
       assert (report.indices, report.residual) == ((0, 0, 1, 0), 1)
     assert dtypes == [dtype, dtype]
     dtypes.clear()
-  # the symmetry scan reads the same copy: 2^60 + 1 and 2^60 are one float
+  # the symmetry scan reads the numerators: 2^60 + 1 and 2^60 are one float
   one_sided = make_wtensor(2, {(0, 1, 0): 2**60 + 1, (1, 0, 0): 2**60})
   assert wtensor_validate(one_sided) == WValidationReport(
       ok=False, failure="symmetry", indices=(0, 1, 0), residual=F(1))
 
 
+def join_route(dense, scale):
+  """The entry join on the coordinate form of a cleared dense copy."""
+  flat = np.flatnonzero(dense)
+  return wtensor._validate_by_join(dense.shape[0], flat, dense.ravel()[flat],
+                                   scale)
+
+
 def test_exactness_bound_of_the_join():
   # n = 2 takes the slice route in wtensor_validate, so the join is called
-  # on the same cleared copy directly
+  # on the same cleared numerators directly
   for w, dtype in bound_cases():
     dense = w.dense.astype(validation_dtype(w))
     assert dense.dtype == dtype
-    report = wtensor._validate_by_join(dense, w.scale)
+    report = join_route(dense, w.scale)
     assert report == direct_oracle(w)
     assert (report.indices, report.residual) == ((0, 0, 1, 0), 1)
   # the first case is one the float64 copy gets wrong
   w = bound_cases()[0][0]
-  assert wtensor._validate_by_join(w.dense.astype(np.float64),
-                                   w.scale) != direct_oracle(w)
+  assert join_route(w.dense.astype(np.float64), w.scale) != direct_oracle(w)
 
 
 def test_the_route_follows_the_nonzero_products(monkeypatch):
   # sparse tensors take the join, dense circulants the slice products
   ran = []
   for name in ("_validate_by_join", "_validate_by_slices"):
-    monkeypatch.setattr(wtensor, name, lambda dense, scale, name=name,
+    monkeypatch.setattr(wtensor, name, lambda *args, name=name,
                         route=getattr(wtensor, name): (
-                            ran.append(name) or route(dense, scale)))
+                            ran.append(name) or route(*args)))
   alpha = [k % 5 + 1 for k in range(64)]
   valid = WValidationReport(ok=True)
   planted = WValidationReport(ok=False, failure="quadratic",
@@ -347,8 +478,7 @@ def quadratic_routes(w, dtype=None):
   the cleared copy of a symmetric W, in ``dtype`` or W's validation dtype."""
   dense = w.dense.astype(dtype or validation_dtype(w))
   return [route(dense, w.scale) for route in (
-      wtensor._validate_by_join, wtensor._validate_by_slices,
-      wtensor._validate_direct)]
+      join_route, wtensor._validate_by_slices, wtensor._validate_direct)]
 
 
 def seeded_symmetric_tensor(rng, kind):
@@ -432,8 +562,9 @@ def test_the_join_reaches_a_late_witness(monkeypatch):
   w = make_wtensor(64, entries)
   joined = []
   join = wtensor._validate_by_join
-  monkeypatch.setattr(wtensor, "_validate_by_join", lambda dense, scale: (
-      joined.append(dense.dtype) or join(dense, scale)))
+  monkeypatch.setattr(wtensor, "_validate_by_join", lambda n, flat, vals,
+                      scale: joined.append(vals.dtype) or join(n, flat, vals,
+                                                               scale))
   report = wtensor_validate(w, cross_check=True)  # against the dense route
   assert joined == [np.float64]
   i, s, q, p = report.indices
