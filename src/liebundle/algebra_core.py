@@ -2,10 +2,11 @@
 
 A bracket on a d-dimensional space is held as integers ``dense[a, b, e]``
 over a common ``scale`` (see ``linalg.cleared``), antisymmetric in (a, b),
-and read as the sparse view ``table[(a, b)] = {e: c_ab_e}`` for a < b.
-Fixed and user tables are built from that view; gl(p), so(p) and the so(p)
-bundle from x a y - y a x on a matrix basis (``_matrix_table``), and sums,
-pencils and coboundaries from their inputs' arrays.  Everything here is
+and read as the sparse view ``table[(a, b)] = {e: c_ab_e}`` for a < b, which
+is always read off the array, in C order.  Fixed and user tables fill the
+array from their coded values (``linalg._code``); gl(p), so(p) and the so(p)
+bundle come from x a y - y a x on a matrix basis (``_matrix_table``), and
+sums, pencils and coboundaries from their inputs' arrays.  Everything here is
 exact: coefficients are Fractions, and every array is computed in the tier
 of ``linalg._exact_sum_dtype`` for its bound.
 """
@@ -21,13 +22,11 @@ from math import lcm
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import (ClearedTable, _exact_sum_dtype, cleared, frac_matrix,
-                     nullspace)
+from .linalg import (ClearedTable, _code, _exact_sum_dtype, cleared,
+                     frac_matrix, nullspace)
 from .rationals import as_fraction, format_rational
 
 MAX_DIM = 64
-
-Table = dict[tuple[int, int], dict[int, Fraction]]
 
 # [v, t]: v < t; its [:n, :n] corner serves a table of dimension n
 _UPPER = np.triu(np.ones((MAX_DIM, MAX_DIM), dtype=bool), 1)
@@ -43,19 +42,9 @@ class StructureConstants(ClearedTable):
   name: str | None = None
 
   @cached_property
-  def table(self) -> Table:
-    """The nonzero brackets {(a, b): {e: c_ab^e}} with a < b, in C order
-    (or in the order given to ``make_structure_constants``)."""
+  def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """The nonzero brackets {(a, b): {e: c_ab^e}} with a < b, in C order."""
     return self.brackets()
-
-  def brackets(self, over_scale: bool = True) -> dict:
-    """The nonzero {(a, b): {e: c_ab^e}} with a < b, in C order; the Python
-    integer numerators dense[a, b, e] when not ``over_scale``."""
-    table: dict = {}
-    upper = _UPPER[:self.dim, :self.dim, None]
-    for (a, b, e), v in self._fractions(upper, over_scale).items():
-      table.setdefault((a, b), {})[e] = v
-    return table
 
 
 def _from_numerators(dense: np.ndarray, scale: int,
@@ -89,39 +78,37 @@ class CompatibilityReport:
 def make_structure_constants(dim: int, brackets, name: str | None = None) -> StructureConstants:
   """Normalize a ``{(a, b): {e: value}}`` mapping into StructureConstants.
 
-  Keys must satisfy 0 <= a < b < dim; values are coerced to Fraction and
-  zero coefficients are dropped.  No Jacobi check happens here.
+  Keys must satisfy 0 <= a < b < dim; each distinct value is coerced to a
+  Fraction once, and zero coefficients are dropped.  The a < b numerators
+  are filled in and then antisymmetrised.  No Jacobi check happens here.
   """
   if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
     raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
-  table: Table = {}
+  parsed, distinct, codes = {}, {Fraction(0): 0}, {}
   for key, coeffs in brackets.items():
     a, b = key
     if not type(a) is type(b) is int:
       raise ValueError(f"bracket key must be an integer pair, got {key!r}")
     if not (0 <= a < b < dim):
       raise ValueError(f"bracket key must satisfy 0 <= a < b < dim, got {key!r}")
-    if (a, b) in table:
+    if (a, b) in codes:
       raise ValueError(f"duplicate bracket key {key!r}")
-    inner: dict[int, Fraction] = {}
+    inner: dict[int, int] = {}
     for e, value in coeffs.items():
       if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < dim:
         raise ValueError(f"coefficient index {e!r} out of range for dim {dim}")
       if e in inner:
         raise ValueError(f"duplicate coefficient index {e} in bracket {key!r}")
-      v = as_fraction(value)
-      if v != 0:
-        inner[e] = v
+      if code := _code(value, parsed, distinct):
+        inner[e] = code
     if inner:
-      table[(a, b)] = inner
-  keys = [(a, b, e) for (a, b), inner in table.items() for e in inner]
-  nums, scale = cleared([v for inner in table.values() for v in inner.values()])
+      codes[(a, b)] = inner
+  nums, scale = cleared(list(distinct))
   dense = np.zeros(dim**3, dtype=nums.dtype)
-  dense[[(a * dim + b) * dim + e for a, b, e in keys]] = nums
-  dense[[(b * dim + a) * dim + e for a, b, e in keys]] = -nums
-  c = StructureConstants(dim, dense.reshape(dim, dim, dim), scale, name)
-  c.__dict__["table"] = table
-  return c
+  dense[[(a * dim + b) * dim + e for a, b in codes for e in codes[(a, b)]]] = (
+      nums[[x for inner in codes.values() for x in inner.values()]])
+  dense = dense.reshape(dim, dim, dim)
+  return StructureConstants(dim, dense - dense.transpose(1, 0, 2), scale, name)
 
 
 _PARAM_NAME_RE = re.compile(r"^(abelian|so|gl)\((\d+)\)$")
@@ -375,12 +362,11 @@ def coboundary_of_one_cochain(c: StructureConstants, beta) -> StructureConstants
 
 
 def structure_constants_to_json(c: StructureConstants) -> dict:
-  """Canonical JSON-ready dict: brackets sorted by (a, b), coeffs by e."""
-  brackets = []
-  for (a, b) in sorted(c.table):
-    coeffs = [{"e": e, "value": format_rational(v)}
-              for e, v in sorted(c.table[(a, b)].items())]
-    brackets.append({"a": a, "b": b, "coeffs": coeffs})
+  """Canonical JSON-ready dict: brackets sorted by (a, b), coeffs by e (the
+  C order of ``table``)."""
+  brackets = [{"a": a, "b": b, "coeffs": [
+      {"e": e, "value": format_rational(v)} for e, v in inner.items()]}
+              for (a, b), inner in c.table.items()]
   out: dict = {"dim": c.dim}
   if c.name is not None:
     out["name"] = c.name

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
 ``cleared`` is the one canonical integer form of a table of rationals, the
-form W-tensors and structure constants are held in; ``_exact_sum_dtype`` is
-the one rule for the dtype that computes sums of their products exactly,
-called by every Jacobi scan and W validation on its own bound.  Rank and
-nullspace run one fraction-free elimination, ``_bareiss``, on a 2-D array of
-Python integers: an integer array is taken as it is, and rationals are
-cleared first, so no float and no Fraction enters a decision.  ``frac_matrix`` and
-its helpers build object matrices of Fractions for exact matrix products.
+form W-tensors and structure constants are held in; their sparse form comes
+in through one value coder (``_code``) and goes out through one nonzero read
+(``ClearedTable._nonzero``).  ``_exact_sum_dtype`` is the one rule for the
+dtype that computes sums of their products exactly, called by every Jacobi
+scan and W validation on its own bound.  Rank and nullspace run one
+fraction-free elimination, ``_bareiss``, on a 2-D array of Python integers:
+an integer array is taken as it is, and rationals are cleared first, so no
+float and no Fraction enters a decision.  ``frac_matrix`` and its helpers
+build object matrices of Fractions for exact matrix products.
 """
 
 from __future__ import annotations
@@ -76,6 +78,21 @@ def cleared(values, scale: int = 1) -> tuple[np.ndarray, int]:
   return values, scale
 
 
+def _code(value, parsed: dict, distinct: dict[Fraction, int]) -> int:
+  """Code of ``value`` in ``distinct`` (Fraction -> code, zero coded 0),
+  coerced once per distinct value as written (``parsed``).  Only the exact
+  types are looked up: a bool or a float equals an int but is refused, and a
+  list or a dict cannot be a key.  A Fraction is looked up by its numerator
+  and denominator, since its own hash and == are Python code."""
+  kind = type(value)
+  key = (value.numerator, value.denominator) if kind is Fraction else value
+  code = parsed.get(key) if kind in (int, str, Fraction) else None
+  if code is None:
+    code = distinct.setdefault(as_fraction(value), len(distinct))
+    parsed[key] = code
+  return code
+
+
 def _exact_sum_dtype(bound: int):
   """The dtype in which integer products and sums of magnitude at most
   ``bound`` are computed exactly: float64 below 2^53 (it holds every such
@@ -99,20 +116,34 @@ class ClearedTable:
 
   @cached_property
   def max_abs(self) -> int:
-    """The largest absolute numerator."""
-    return int(np.abs(self.dense).max())
+    """The largest absolute numerator (max and min: no |dense| copy)."""
+    return max(int(self.dense.max()), -int(self.dense.min()))
 
-  def _fractions(self, keep=True, over_scale=True) -> dict:
-    """{index: dense[index] / scale} over the nonzero entries where ``keep``
-    holds, in C order, with one Fraction per distinct value; the Python
-    integers dense[index] themselves when not ``over_scale``."""
-    where = np.nonzero((self.dense != 0) & keep)
-    nums = self.dense[where].tolist()
-    keys = zip(*(a.tolist() for a in where))
-    if not over_scale:
-      return dict(zip(keys, nums))
-    value = {x: Fraction(x, self.scale) for x in set(nums)}
-    return dict(zip(keys, map(value.__getitem__, nums)))
+  @cached_property
+  def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate form, the one read of the nonzero entries: their flat
+    indices into ``dense``, in C order, and their numerators."""
+    flat = np.flatnonzero(self.dense != 0)  # faster than on the integers
+    nums = self.dense.ravel()
+    return flat, nums[flat] if len(flat) < len(nums) else nums
+
+  def brackets(self, upper: bool = True, over_scale: bool = True) -> dict:
+    """The nonzero entries as {(a, b): {e: dense[a, b, e] / scale}}, in C
+    order: [e_a, e_b] of structure constants, or the W^{ij}_s of [x_i, y_j]
+    of a W-tensor.  Only the pairs a < b when ``upper``; one Fraction per
+    distinct value, or the Python integers dense[a, b, e] when not
+    ``over_scale``."""
+    flat, nums = self._nonzero
+    index = np.unravel_index(flat, self.dense.shape)
+    keep = index[0] < index[1] if upper else slice(None)
+    nums = nums[keep].tolist()
+    if over_scale:
+      value = {x: Fraction(x, self.scale) for x in set(nums)}
+      nums = map(value.__getitem__, nums)
+    grouped: dict = {}
+    for a, b, e, x in zip(*(i[keep].tolist() for i in index), nums):
+      grouped.setdefault((a, b), {})[e] = x
+    return grouped
 
 
 def _integer_matrix(matrix) -> np.ndarray:

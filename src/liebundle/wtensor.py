@@ -18,8 +18,8 @@ deformations take the join, dense circulants the slices.  The dense direct
 contraction of the identity cross-checks either: a second formula for the
 slices, a second evaluation, over every product, for the join.  The
 symmetry scan, the route switch, the join and the ``entries`` view read W's
-cached nonzero entries (``WTensor._nonzero``), the others a dense copy, in
-the dtype (float64, int64 or Python integers) of
+cached nonzero entries (``linalg.ClearedTable._nonzero``), the others a
+dense copy, in the dtype (float64, int64 or Python integers) of
 ``linalg._exact_sum_dtype`` for their bound 2*n*M^2.
 Certifying an extension on G^n runs two formulas for every W.
 """
@@ -37,8 +37,8 @@ from .algebra_core import (_UPPER, MAX_DIM, JacobiReport, StructureConstants,
                            _from_numerators, _jacobiator, basis_vector,
                            bracket_eval)
 from .errors import InternalCheckError, SizeCapError
-from .linalg import (ClearedTable, _exact_sum_dtype, cleared, frac_matrix,
-                     identity_matrix, is_nilpotent, mats_equal)
+from .linalg import (ClearedTable, _code, _exact_sum_dtype, cleared,
+                     frac_matrix, identity_matrix, is_nilpotent, mats_equal)
 from .rationals import as_fraction, format_rational
 
 MAX_N = 64
@@ -53,27 +53,14 @@ class WTensor(ClearedTable):
   scale: int
 
   @cached_property
-  def _nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-    """W's coordinate form: the flat indices of its nonzero entries into
-    ``dense``, in C order of (i, j, s), and their numerators."""
-    flat = np.flatnonzero(self.dense != 0)  # faster than on the integers
-    nums = self.dense.ravel()
-    return flat, nums[flat] if len(flat) < len(nums) else nums
-
-  @cached_property
   def entries(self) -> Entries:
     """The nonzero entries {(i, j, s): W^{ij}_s}, always in C order."""
     return Entries(self)
 
   @cached_property
-  def _pairs(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
-    """Index {(i, j): [(s, W^{ij}_s), ...]} for bracket evaluation."""
-    nums = self._nonzero[1].tolist()
-    value = {x: Fraction(x, self.scale) for x in set(nums)}
-    idx: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (i, j, s), x in zip(self.entries, nums):
-      idx.setdefault((i, j), []).append((s, value[x]))
-    return idx
+  def _pairs(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """{(i, j): {s: W^{ij}_s}} for bracket evaluation."""
+    return self.brackets(upper=False)
 
 
 class Entries(Mapping):
@@ -91,11 +78,17 @@ class Entries(Mapping):
     return zip(*(a.tolist() for a in where))
 
   def __getitem__(self, key) -> Fraction:
+    # as in a dict, a key matches the (i, j, s) it equals (True or 1.0 is
+    # 1); the index is made of ints, which numpy cannot read as a mask
     w = self._w
-    if type(key) is tuple and len(key) == 3 and all(
-        isinstance(x, (int, np.integer)) and 0 <= x < w.n for x in key):
-      if x := int(w.dense[key]):
-        return Fraction(x, w.scale)
+    if type(key) is tuple and len(key) == 3:
+      try:
+        index = tuple(map(int, key))
+      except (TypeError, ValueError, OverflowError):
+        raise KeyError(key) from None
+      if index == key and all(0 <= x < w.n for x in index):
+        if x := int(w.dense[index]):
+          return Fraction(x, w.scale)
     raise KeyError(key)
 
 
@@ -131,18 +124,6 @@ def _assemble(n: int, codes: dict, values: list[Fraction]) -> WTensor:
   dense = np.zeros(n**3, dtype=nums.dtype)
   dense[flat] = nums[list(codes.values())]
   return WTensor(n, dense.reshape(n, n, n), scale)
-
-
-def _code(value, parsed: dict, distinct: dict[Fraction, int]) -> int:
-  """Code of ``value`` in ``distinct`` (Fraction -> code, zero coded 0),
-  coerced once per distinct value as written (``parsed``).  Only the exact
-  types are looked up: a bool or a float equals an int but is refused, and a
-  list or a dict cannot be a key."""
-  code = parsed.get(value) if type(value) in (int, str, Fraction) else None
-  if code is None:
-    code = distinct.setdefault(as_fraction(value), len(distinct))
-    parsed[value] = code
-  return code
 
 
 def make_wtensor(n: int, entries) -> WTensor:
@@ -487,7 +468,7 @@ def extension_bracket(w: WTensor, c: StructureConstants, x, y) -> tuple:
       zb = bracket_eval(c, x[i], y[j])
       if all(v == 0 for v in zb):
         continue
-      for s, v in col:
+      for s, v in col.items():
         row = result[s]
         for e in range(d):
           if zb[e]:

@@ -21,6 +21,7 @@ from liebundle import circulant_w, induced_structure_constants, make_wtensor
 from liebundle import algebra_core, wtensor
 from liebundle.algebra_core import so_matrix_basis
 from liebundle.linalg import nullspace
+from liebundle.rationals import as_fraction
 
 
 F = Fraction
@@ -168,6 +169,144 @@ def test_make_structure_constants_rejects_bad_tables():
   # zero coefficients are dropped, not stored
   c = make_structure_constants(2, {(0, 1): {0: 0, 1: 1}})
   assert c.table == {(0, 1): {1: F(1)}}
+
+
+class Repeating:
+  """A mapping-like input whose ``items`` may repeat a key, which a dict
+  cannot: the only way to reach the duplicate checks."""
+
+  def __init__(self, *items):
+    self._items = items
+
+  def items(self):
+    return iter(self._items)
+
+
+# (dim, brackets, message): the rejections of make_structure_constants and
+# their order -- keys before their coefficients, a coefficient's index
+# before its value, pairs in the order given
+REJECTIONS = [
+    (2, {(1, 1): {0: 1}},
+     "bracket key must satisfy 0 <= a < b < dim, got (1, 1)"),
+    (2, {(1, 0): {0: 1}},
+     "bracket key must satisfy 0 <= a < b < dim, got (1, 0)"),
+    (2, {(0, 1): {2: 1}}, "coefficient index 2 out of range for dim 2"),
+    (0, {}, "dim must be an integer in 1..64, got 0"),
+    (65, {}, "dim must be an integer in 1..64, got 65"),
+    (True, {}, "dim must be an integer in 1..64, got True"),
+    (2, {(False, True): {0: 1}},
+     "bracket key must be an integer pair, got (False, True)"),
+    (3, {(0, 1): {True: 1}}, "coefficient index True out of range for dim 3"),
+    (3, {(0, 1): {-1: 1}}, "coefficient index -1 out of range for dim 3"),
+    (3, {(0, 1): {0: 1.5}}, "cannot interpret 1.5 as an exact rational"),
+    (3, {(0, 1): {0: True}}, "booleans are not rationals"),
+    (3, {(0, 1): {0: "2/4"}}, "not in lowest terms / canonical form: '2/4'"),
+    (3, {(0, 1): {0: 1.5, 3: 1}}, "cannot interpret 1.5 as an exact rational"),
+    (3, {(0, 1): {3: 1.5}}, "coefficient index 3 out of range for dim 3"),
+    (3, {(0, 1): {0: "x"}, (2, 1): {0: 1}}, "not a canonical rational: 'x'"),
+    (3, {(0, 2): {0: 1}, (0, 3): {0: "x"}},
+     "bracket key must satisfy 0 <= a < b < dim, got (0, 3)"),
+    (3, Repeating(((0, 1), {2: 1}), ((0, 1), {2: 1})),
+     "duplicate bracket key (0, 1)"),
+    (3, {(0, 1): Repeating((2, 1), (2, "1"))},
+     "duplicate coefficient index 2 in bracket (0, 1)"),
+    # a repeated pair or index whose first value is zero is not a duplicate
+    (3, Repeating(((0, 1), {2: 0}), ((0, 1), {2: 1}), ((0, 1), {2: 1})),
+     "duplicate bracket key (0, 1)"),
+    (3, {(0, 1): Repeating((2, 0), (2, 1), (2, 1))},
+     "duplicate coefficient index 2 in bracket (0, 1)"),
+]
+
+
+def test_make_structure_constants_rejections_keep_their_messages():
+  for dim, brackets, message in REJECTIONS:
+    with pytest.raises(ValueError) as info:
+      make_structure_constants(dim, brackets)
+    assert str(info.value) == message
+
+
+def reference_structure_constants(dim, brackets):
+  """The table built the direct way, as an independent oracle: every value
+  coerced on its own, zeros dropped, the rest over the lcm of their
+  denominators, (a, b) and (b, a) filled entry by entry."""
+  table = {}
+  for (a, b), coeffs in brackets.items():
+    inner = {e: as_fraction(v) for e, v in coeffs.items() if as_fraction(v)}
+    if inner:
+      table[(a, b)] = inner
+  scale = lcm(*(v.denominator for inner in table.values()
+                for v in inner.values()))
+  dense = np.zeros((dim, dim, dim), dtype=object)
+  for (a, b), inner in table.items():
+    for e, v in inner.items():
+      dense[a, b, e] = v.numerator * (scale // v.denominator)
+      dense[b, a, e] = -dense[a, b, e]
+  if all(-2**63 < x < 2**63 for x in dense.flat):
+    dense = dense.astype(np.int64)
+  return dense, scale, table
+
+
+def c_order_table(c):
+  """{(a, b): {e: c_ab^e}} for a < b, read off np.nonzero(c.dense)."""
+  where = np.nonzero(c.dense)
+  table = {}
+  for a, b, e, x in zip(*(w.tolist() for w in where), c.dense[where].tolist()):
+    if a < b:
+      table.setdefault((a, b), {})[e] = F(x, c.scale)
+  return table
+
+
+def assert_one_source(c, brackets):
+  """c is the table of ``brackets``, and its ``table`` is read off its
+  array, pairs and indices in C order."""
+  dense, scale, table = reference_structure_constants(c.dim, brackets)
+  assert c.dense.dtype == dense.dtype and np.array_equal(c.dense, dense)
+  assert c.scale == scale and c.table == table
+  oracle = c_order_table(c)
+  assert c.table == oracle and list(c.table) == list(oracle)
+  for pair, inner in c.table.items():
+    assert list(inner) == list(oracle[pair])
+
+
+def test_table_has_one_source_in_c_order():
+  # pairs and indices given in descending order
+  descending = {(1, 2): {2: F(1, 3), 0: 5}, (0, 2): {2: -1, 1: "7/2"},
+                (0, 1): {2: 1, 1: 2**70}}
+  c = make_structure_constants(3, descending)
+  assert list(c.table) == [(0, 1), (0, 2), (1, 2)]
+  assert [list(inner) for inner in c.table.values()] == [[1, 2], [1, 2],
+                                                        [0, 2]]
+  assert_one_source(c, descending)
+  fixed = {"heisenberg3": {(0, 1): {2: 1}},
+           "sl2": {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
+           "so3": {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}}
+  fixed.update((f"abelian({d})", {}) for d in (1, 2, 5))
+  for name, brackets in fixed.items():
+    c = builtin_algebra(name)
+    assert_one_source(c, brackets)
+    assert c == make_structure_constants(c.dim, brackets, name=name)
+  for name in ("gl(2)", "gl(5)", "so(4)", "so(7)"):
+    c = builtin_algebra(name)
+    assert_one_source(c, c.table)
+    assert make_structure_constants(c.dim, c.table, name=name) == c
+
+
+def test_one_value_written_several_ways_is_one_value():
+  rng = random.Random(20)
+  spellings = [(1, "1", F(1)), (-1, "-1", F(-1)), (F(2, 3), "2/3"),
+               (0, "0", F(0)), (2**70, str(2**70), F(2**70)),
+               (F(-5, 2**64), f"-5/{2**64}")]
+  for _ in range(60):
+    dim = rng.randint(1, 8)
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    rng.shuffle(pairs)
+    brackets = {}
+    for a, b in pairs[:rng.randint(0, len(pairs))]:
+      es = rng.sample(range(dim), rng.randint(1, dim))
+      brackets[(a, b)] = {e: rng.choice(rng.choice(spellings)) for e in es}
+    c = make_structure_constants(dim, brackets)
+    assert_one_source(c, brackets)
+    assert make_structure_constants(dim, c.table) == c
 
 
 def test_bracket_eval_oracles():
@@ -355,6 +494,14 @@ def test_json_round_trip():
     doc = structure_constants_to_json(c)
     back = structure_constants_from_json(doc)
     assert back.dim == c.dim and back.table == c.table
+  for name in ("sl2", "so3", "heisenberg3", "abelian(3)", "gl(2)", "gl(4)",
+               "so(3)", "so(6)"):
+    c = builtin_algebra(name)
+    table = list(c.table.items())
+    back = structure_constants_from_json(structure_constants_to_json(c))
+    assert back == c and list(back.table.items()) == table
+    assert [list(inner) for _, inner in table] == [
+        list(inner) for inner in back.table.values()]
 
 
 def test_json_doc_is_sorted_and_canonical():
@@ -368,7 +515,7 @@ def test_json_doc_is_sorted_and_canonical():
       assert isinstance(t["value"], str)
 
 
-@pytest.mark.parametrize("doc", [
+MALFORMED = [
     {"dim": 3},                                                # missing field
     {"dim": 3, "brackets": [], "extra": 1},                    # unknown field
     {"dim": True, "brackets": []},                             # bool dim
@@ -388,10 +535,32 @@ def test_json_doc_is_sorted_and_canonical():
                             {"a": 0, "b": 1,
                              "coeffs": [{"e": 1, "value": "1"}]}]},
     {"dim": 3, "brackets": [{"a": 0, "b": 1, "coeffs": []}]},  # empty coeffs
-])
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
 def test_json_loader_rejects_malformed(doc):
   with pytest.raises(ValueError):
     structure_constants_from_json(doc)
+
+
+def test_json_loader_rejections_keep_their_messages():
+  messages = [
+      "missing required fields 'dim' and/or 'brackets'",
+      "unknown fields: ['extra']",
+      "dim must be an integer, got True",
+      "bracket indices must satisfy a < b, got (1, 1)",
+      "bracket indices must satisfy a < b, got (2, 1)",
+      "not in lowest terms / canonical form: '2/4'",
+      "zero coefficients are not stored in canonical files",
+      "duplicate coefficient index 0 in bracket (0, 1)",
+      "duplicate bracket (0, 1)",
+      "coeffs must be a non-empty list"]
+  assert len(messages) == len(MALFORMED)
+  for doc, message in zip(MALFORMED, messages):
+    with pytest.raises(ValueError) as info:
+      structure_constants_from_json(doc)
+    assert str(info.value) == message
 
 
 def test_sum_bracket_table_adds_and_cancels():

@@ -142,7 +142,10 @@ def test_entries_is_a_read_only_view_in_c_order():
   rng = random.Random(41)
   objects = 0
   for w in entries_cases(rng):
-    view, expected = w.entries, w._fractions()
+    where = np.nonzero(w.dense)
+    expected = {key: F(x, w.scale) for key, x in zip(
+        zip(*(a.tolist() for a in where)), w.dense[where].tolist())}
+    view = w.entries
     assert isinstance(view, Mapping) and not isinstance(view, dict)
     assert len(view) == np.count_nonzero(w.dense) == len(expected)
     assert view == expected and expected == view
@@ -159,11 +162,47 @@ def test_entries_is_a_read_only_view_in_c_order():
       assert view.get((i - n, j, s)) is view.get((i, j, s - n)) is None
     for key in np.argwhere(w.dense == 0)[:10].tolist():
       assert view.get(tuple(key)) is None
+    # a bool or an integral float equals its int, as a key of the dict this
+    # view replaced, and a bool must not become an array mask
+    for key in ((True, 0, 0), (0, True, False), (True, True, True),
+                (np.True_, 0, np.False_), (1.0, 0, 0), (0, 0, F(1)),
+                (np.float64(1), 1, 0)):
+      plain = tuple(map(int, key))
+      assert view.get(key) == expected.get(plain) == expected.get(key)
+      assert (key in view) == (plain in expected) == (key in expected)
+    for key in ((0.5, 0, 0), (float("nan"), 0, 0), (float("inf"), 0, 0),
+                ("0", 0, 0), (None, 0, 0), ([0], 0, 0), (0, 0, 1j)):
+      assert view.get(key) is None and key not in view
     objects += w.dense.dtype == object
   assert objects >= 10
   # the negative index of a present entry, which an array index would wrap
   assert (5, 0, 5) in leibnitz_w(6).entries
   assert leibnitz_w(6).entries.get((-1, 0, -1)) is None
+
+
+def test_max_abs_is_the_largest_absolute_numerator():
+  rng = random.Random(76)
+  big = 2**63 + 5
+  tables = [
+      leibnitz_deform(6, F(-7, 3)), make_wtensor(4, {}), make_wtensor(1, {}),
+      circulant_w([F(rng.randint(-9, 9)) for _ in range(64)]),
+      make_wtensor(3, {(0, 1, 2): -big, (1, 0, 2): 3}),  # object, negative
+      make_wtensor(3, {(0, 1, 2): big, (2, 2, 2): -big + 1}),
+      make_wtensor(2, {(0, 0, 1): -5, (1, 1, 0): 4}),  # int64, negative
+      make_wtensor(2, {(0, 0, 1): -(2**63 - 1)}),
+      builtin_algebra("gl(3)"), builtin_algebra("abelian(3)"),
+      make_structure_constants(3, {(0, 1): {2: -big}, (1, 2): {0: 7}}),
+      make_structure_constants(3, {(0, 1): {2: F(1, 3)}, (1, 2): {0: -2}}),
+      so_sym_bundle(4, [[1, -9, 0, 2], [-9, 0, 3, 0], [0, 3, 2, 0],
+                        [2, 0, 0, 1]])]
+  kinds = set()
+  for t in tables:
+    assert t.max_abs == int(np.abs(t.dense).max())
+    assert type(t.max_abs) is int
+    kinds.add((t.dense.dtype == object, t.max_abs == 0,
+               t.max_abs == -int(t.dense.min()) > int(t.dense.max())))
+  assert {(False, True, False), (False, False, True), (True, False, True),
+          (True, False, False)} <= kinds
 
 
 def test_entries_counts_and_iterates_without_fractions(monkeypatch):
@@ -1340,7 +1379,7 @@ def test_json_entries_sorted():
   assert all(isinstance(e["value"], str) for e in doc["entries"])
 
 
-@pytest.mark.parametrize("doc", [
+MALFORMED = [
     {"n": 2},                                                  # missing field
     {"n": 2, "entries": [], "extra": 0},                       # unknown field
     {"n": True, "entries": []},                                # bool n
@@ -1354,10 +1393,33 @@ def test_json_entries_sorted():
                          {"i": 0, "j": 0, "k": 0, "value": "1"}]},   # dup
     {"n": 2, "entries": [{"i": 0, "j": 1, "k": 0, "value": "1"},
                          {"i": 1, "j": 0, "k": 0, "value": "2"}]},   # mirror
-])
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
 def test_json_loader_rejects_malformed(doc):
   with pytest.raises(ValueError):
     wtensor_from_json(doc)
+
+
+def test_json_loader_rejections_keep_their_messages():
+  messages = [
+      "w-tensor document needs exactly fields 'n' and 'entries'",
+      "w-tensor document needs exactly fields 'n' and 'entries'",
+      "n must be an integer",
+      "each entry needs exactly fields i, j, k, value",
+      "zero entries are not stored in canonical files",
+      "not in lowest terms / canonical form: '2/4'",
+      "cannot interpret 1.5 as an exact rational",
+      "entry field i must be an integer",
+      "index (0, 0, 2) out of range for n=2",
+      "duplicate entry for indices (0, 0, 0)",
+      "contradictory mirrored entries at (0, 1, 0): 1 vs 2"]
+  assert len(messages) == len(MALFORMED)
+  for doc, message in zip(MALFORMED, messages):
+    with pytest.raises(ValueError) as info:
+      wtensor_from_json(doc)
+    assert str(info.value) == message
 
 
 def test_json_loader_does_not_symmetrize():
