@@ -82,9 +82,16 @@ def make_structure_constants(dim: int, brackets, name: str | None = None) -> Str
   Fraction once, and zero coefficients are dropped.  The a < b numerators
   are filled in and then antisymmetrised.  No Jacobi check happens here.
   """
+  return _coded_table(dim, brackets, name, {}, {Fraction(0): 0})
+
+
+def _coded_table(dim: int, brackets, name: str | None, parsed: dict,
+                 distinct: dict[Fraction, int]) -> StructureConstants:
+  """``make_structure_constants`` with the values coded into ``parsed`` and
+  ``distinct`` (see ``linalg._code``), which may hold values already coded."""
   if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= MAX_DIM:
     raise ValueError(f"dim must be an integer in 1..{MAX_DIM}, got {dim!r}")
-  parsed, distinct, codes = {}, {Fraction(0): 0}, {}
+  codes = {}
   for key, coeffs in brackets.items():
     a, b = key
     if not type(a) is type(b) is int:
@@ -170,7 +177,10 @@ def _matrix_table(basis: np.ndarray, a: np.ndarray,
   ``_exact_sum_dtype`` for 2 max|a| holds every partial sum."""
   dtype = _exact_sum_dtype(2 * int(np.abs(a).max()))
   basis = basis.astype(dtype)
-  x = ((basis @ a.astype(dtype))[:, None] @ basis)[:, :, coordinates]
+  d = len(basis)
+  x = ((basis @ a.astype(dtype))[:, None] @ basis).reshape(d, d, -1)
+  # take, unlike a mask, keeps C order, so that ravel() copies nothing
+  x = x.take(np.flatnonzero(coordinates), axis=2)
   return x - x.transpose(1, 0, 2)
 
 
@@ -400,7 +410,7 @@ def structure_constants_from_json(data) -> StructureConstants:
     raise ValueError("name must be a string")
   if not isinstance(data["brackets"], list):
     raise ValueError("brackets must be a list")
-  brackets = {}
+  parsed, distinct, brackets = {}, {Fraction(0): 0}, {}
   for item in data["brackets"]:
     if not isinstance(item, dict):
       raise ValueError("each bracket must be an object")
@@ -424,9 +434,8 @@ def structure_constants_from_json(data) -> StructureConstants:
       e = _require_int(co["e"], "e")
       if e in coeffs:
         raise ValueError(f"duplicate coefficient index {e} in bracket ({a}, {b})")
-      v = as_fraction(co["value"])
-      if v == 0:
+      if not _code(co["value"], parsed, distinct):
         raise ValueError("zero coefficients are not stored in canonical files")
-      coeffs[e] = v
+      coeffs[e] = co["value"]
     brackets[(a, b)] = coeffs
-  return make_structure_constants(dim, brackets, name=name)
+  return _coded_table(dim, brackets, name, parsed, distinct)

@@ -5,11 +5,16 @@ form W-tensors and structure constants are held in; their sparse form comes
 in through one value coder (``_code``) and goes out through one nonzero read
 (``ClearedTable._nonzero``).  ``_exact_sum_dtype`` is the one rule for the
 dtype that computes sums of their products exactly, called by every Jacobi
-scan and W validation on its own bound.  Rank and nullspace run one
-fraction-free elimination, ``_bareiss``, on a 2-D array of Python integers:
-an integer array is taken as it is, and rationals are cleared first, so no
-float and no Fraction enters a decision.  ``frac_matrix`` and its helpers
-build object matrices of Fractions for exact matrix products.
+scan and W validation on its own bound.  Rank and nullspace work on a 2-D
+integer array: an integer array is taken as it is, and rationals are cleared
+first.  One exact front end (``_unsettled``) settles the rows with a single
+nonzero and then asks whether what is left has full column rank modulo the
+prime ``_PRIME``; only when it does not does the fraction-free elimination
+``_bareiss`` run, in Python integers.  The residues are integers below 2^31
+held in int64, whose products and differences stay below 2^62, so every
+decision is made on exact integers, never on a rounded value.
+``frac_matrix`` and its helpers build object matrices of Fractions for
+exact matrix products.
 """
 
 from __future__ import annotations
@@ -158,20 +163,74 @@ def _integer_matrix(matrix) -> np.ndarray:
       matrix.shape)
 
 
+_PRIME = 2**31 - 1  # below 2^31, so residues multiply exactly in int64
+
+
+def _unsettled(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+  """The rows and columns of the integer matrix ``a`` that ``_bareiss``
+  must still decide, and the indices of those columns, ascending.
+
+  A row whose only nonzero is in column c puts e_c in the row space, so
+  x_c = 0 on the nullspace and c is a pivot column of every echelon form.
+  Each round drops the columns of all such rows at once, with the rows that
+  are then zero; that can leave new unit rows for the next round.  The
+  nullspace of ``a`` is that of what is left, with x = 0 at the dropped
+  columns, and the rank of ``a`` is the number of dropped columns plus the
+  rank of what is left.  No column is left when what is left has full
+  column rank modulo ``_PRIME``.
+  """
+  columns = np.arange(a.shape[1])
+  while True:
+    nonzero = a != 0
+    count = nonzero.sum(axis=1)
+    unit = nonzero[count == 1]
+    a = a[count > 1]
+    if not len(unit):
+      break
+    keep = ~unit.any(axis=0)
+    a, columns = a[:, keep], columns[keep]
+  if _full_column_rank_mod_p(a):
+    return a[:, :0], []
+  return a, columns.tolist()
+
+
+def _full_column_rank_mod_p(a: np.ndarray) -> bool:
+  """Whether the integer matrix ``a`` has full column rank modulo
+  ``_PRIME``.  If it has, some maximal minor is nonzero modulo the prime,
+  so nonzero over Q, and ``a`` has full column rank over Q.  False decides
+  nothing: an unlucky prime may divide every maximal minor.
+
+  Fraction-free elimination on the residues, one column at a time: row i
+  becomes a[r, 0] a[i] - a[i, 0] a[r] for a pivot row r, which keeps the
+  rank of the other rows modulo the prime and zeroes row r.  Residues are
+  below 2^31, so the products are below 2^62 and int64 is exact.
+  """
+  if len(a) < a.shape[1]:
+    return False
+  a = (a % _PRIME).astype(np.int64)
+  while a.shape[1]:
+    column = a[:, 0]
+    r = column.argmax()
+    if not column[r]:
+      return False
+    a = (a[:, 1:] * column[r] - column[:, None] * a[r, 1:]) % _PRIME
+  return True
+
+
 def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]]:
   """Fraction-free elimination of the integer matrix ``a``, in Python
   integers: its rows that hold a pivot, and the pivot columns, ascending.
 
-  Zero rows are dropped first; they never pivot.  Column c's pivot row is
-  the first at or below the working row r with a nonzero in c.  One step,
-  a[i] = (a[i] a[r, c] - a[i, c] a[r]) / prev with prev the last pivot (at
-  first 1), updates the rows below r, or with ``reduce`` every other row:
-  fraction-free Gauss-Jordan, after which every pivot equals the last, D.
-  The division is exact either way, as every entry is a minor of ``a``: on
-  the pivot rows and columns with row i and column j added (Bareiss) or, in
-  a pivot row, with its pivot column replaced by column j (Cramer).
+  Column c's pivot row is the first at or below the working row r with a
+  nonzero in c.  One step, a[i] = (a[i] a[r, c] - a[i, c] a[r]) / prev
+  with prev the last pivot (at first 1), updates the rows below r, or with
+  ``reduce`` every other row: fraction-free Gauss-Jordan, after which every
+  pivot equals the last, D.  The division is exact either way, as every
+  entry is a minor of ``a``: on the pivot rows and columns with row i and
+  column j added (Bareiss) or, in a pivot row, with its pivot column
+  replaced by column j (Cramer).
   """
-  a = a[(a != 0).any(axis=1)].astype(object)
+  a = a.astype(object)
   pivots: list[int] = []
   prev = 1
   for c in range(a.shape[1]):
@@ -188,27 +247,35 @@ def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]
 
 
 def rank(matrix) -> int:
-  """Exact rank over Q."""
-  return len(_bareiss(_integer_matrix(matrix))[1])
+  """Exact rank over Q: the columns ``_unsettled`` settles, plus the rank
+  ``_bareiss`` finds on what is left."""
+  a = _integer_matrix(matrix)
+  rest, columns = _unsettled(a)
+  return a.shape[1] - len(columns) + len(_bareiss(rest)[1])
 
 
 def nullspace(matrix) -> list[tuple[Fraction, ...]]:
   """Deterministic basis of the exact right nullspace.
 
   One vector per free column f, in ascending column order, read off the
-  reduced form of ``_bareiss``: x_f = D, x_p = -a[i, f] at the pivot column
-  p of row i, and 0 at the other free columns.  Each vector is scaled to
-  coprime integers with its first nonzero entry positive.
+  reduced form of ``_bareiss`` on the columns ``_unsettled`` leaves: x_f =
+  D, x_p = -a[i, f] at the pivot column p of row i, and 0 at the other
+  columns.  Each vector is scaled to coprime integers with its first
+  nonzero entry positive.  It is the one nullspace vector with x_f = 1 and
+  x = 0 at the other free columns, and settling keeps the free columns, so
+  the basis is the one an elimination of the whole matrix reads off.
   """
-  a, pivots = _bareiss(_integer_matrix(matrix), reduce=True)
+  a = _integer_matrix(matrix)
   n = a.shape[1]
-  d = a[0, pivots[0]] if pivots else 1
+  rest, columns = _unsettled(a)
+  rest, pivots = _bareiss(rest, reduce=True)
+  d = rest[0, pivots[0]] if pivots else 1
   basis = []
-  for f in sorted(set(range(n)) - set(pivots)):
+  for f in sorted(set(range(len(columns))) - set(pivots)):
     x = [0] * n
-    x[f] = d
-    for p, v in zip(pivots, a[:, f].tolist()):
-      x[p] = -v
+    x[columns[f]] = d
+    for p, v in zip(pivots, rest[:, f].tolist()):
+      x[columns[p]] = -v
     basis.append(_normalize_vector(x))
   return basis
 
