@@ -22,8 +22,8 @@ from math import lcm
 import numpy as np
 
 from .errors import InternalCheckError
-from .linalg import (ClearedTable, _code, _exact_sum_dtype, cleared,
-                     frac_matrix, nullspace)
+from .linalg import (ClearedTable, _code, _exact_sum_dtype, _first_nonzero,
+                     cleared, frac_matrix, nullspace)
 from .rationals import as_fraction, format_rational
 
 MAX_DIM = 64
@@ -224,7 +224,9 @@ def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
   For each u it is P[v, t] - P[t, v] + B[v, t, u] with P[v, t] = B[u, v, t],
   from two matrix products: P over v, t > u, and B[v, t, u] over the pairs
   u < v < t, which are the last rows of left[v, t] over v < t in C order.
-  The dtype must hold every partial sum exactly (see ``_exact_sum_dtype``).
+  A zero residual costs a count that allocates nothing, and the first
+  nonzero one is read by ``_first_nonzero``.  The dtype must hold every
+  partial sum exactly (see ``_exact_sum_dtype``).
   """
   n, g = left.shape[0], right.shape[0]
   upper = _UPPER[:n, :n]  # its corner [:k, :k] is its [u + 1:, u + 1:]
@@ -235,8 +237,10 @@ def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
     jac = pairs[len(pairs) - k * (k - 1) // 2:] @ right[:, u]
     jac += (p - p.transpose(1, 0, 2))[upper[:k, :k]]
     if np.count_nonzero(jac):
-      row, f = (int(x) for x in np.argwhere(jac)[0])
-      v, t = (int(x) for x in np.argwhere(upper[:k, :k])[row] + u + 1)
+      row, f = _first_nonzero(jac)
+      v, t = u + 1, u + 2 + row  # pair ``row`` of u < v < t in C order
+      while t >= n:  # beyond v's last pair (v, n - 1): on to v + 1
+        v, t = v + 1, t - (n - 2 - v)
       return JacobiReport(ok=False, violation=(u, v, t, f),
                           residual=Fraction(sign * int(jac[row, f]), scale**2))
   return JacobiReport(ok=True)

@@ -5,7 +5,8 @@ form W-tensors and structure constants are held in; their sparse form comes
 in through one value coder (``_code``) and goes out through one nonzero read
 (``ClearedTable._nonzero``).  ``_exact_sum_dtype`` is the one rule for the
 dtype that computes sums of their products exactly, called by every Jacobi
-scan and W validation on its own bound.  Rank and nullspace work on a 2-D
+scan and W validation on its own bound, and ``_first_nonzero`` the one
+search that reads their witnesses.  Rank and nullspace work on a 2-D
 integer array: an integer array is taken as it is, and rationals are cleared
 first.  One exact front end (``_unsettled``) settles the rows with a single
 nonzero and then asks whether what is left has full column rank modulo the
@@ -96,6 +97,15 @@ def _code(value, parsed: dict, distinct: dict[Fraction, int]) -> int:
     code = distinct.setdefault(as_fraction(value), len(distinct))
     parsed[key] = code
   return code
+
+
+def _first_nonzero(a: np.ndarray) -> tuple[int, ...] | None:
+  """The C-order index of the first nonzero (or True) entry of ``a``, or
+  None; an argmax over booleans stops at the first True it meets."""
+  mask = (a if a.dtype == bool else a != 0).ravel()
+  if not mask.size or not mask[at := int(mask.argmax())]:
+    return None
+  return tuple(int(x) for x in np.unravel_index(at, a.shape))
 
 
 def _exact_sum_dtype(bound: int):
@@ -235,8 +245,8 @@ def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]
   prev = 1
   for c in range(a.shape[1]):
     r = len(pivots)
-    below = np.flatnonzero(a[r:, c])
-    if not len(below):
+    below = _first_nonzero(a[r:, c])
+    if below is None:
       continue
     a[[r, r + below[0]]] = a[[r + below[0], r]]
     rows = np.arange(len(a)) != r if reduce else slice(r + 1, None)

@@ -222,10 +222,8 @@ def casimir_linear_basis(t) -> list[PolyFunction]:
   d = c.dim
   out = []
   for vec in center_basis(c):
-    poly = poly_zero(d)
-    for a, v in enumerate(vec):
-      if v != 0:
-        poly = poly_add(poly, poly_scale(coordinate_poly(d, a), v))
+    poly = make_poly(d, {tuple(int(i == a) for i in range(d)): v
+                         for a, v in enumerate(vec)})
     for b in range(d):
       if not is_zero_poly(lie_poisson_bracket(c, poly, coordinate_poly(d, b))):
         raise InternalCheckError("center vector fails to Poisson-commute")
@@ -238,12 +236,8 @@ def involution_check(tensors, fs) -> bool:
   if isinstance(tensors, (PoissonTensor, StructureConstants)):
     tensors = (tensors,)
   fs = list(fs)
-  for t in tensors:
-    for i in range(len(fs)):
-      for j in range(i + 1, len(fs)):
-        if not is_zero_poly(lie_poisson_bracket(t, fs[i], fs[j])):
-          return False
-  return True
+  return all(is_zero_poly(lie_poisson_bracket(t, f, g))
+             for t in tensors for f, g in combinations(fs, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +267,10 @@ def poly_from_json(data) -> PolyFunction:
     exps = item["exps"]
     if not isinstance(exps, list):
       raise ValueError("exps must be a list")
-    key = []
     for e in exps:
       if not isinstance(e, int) or isinstance(e, bool) or e < 0:
         raise ValueError("exponents must be non-negative integers")
-      key.append(e)
-    key = tuple(key)
+    key = tuple(exps)
     if key in terms:
       raise ValueError(f"duplicate exponent tuple {list(key)}")
     v = as_fraction(item["value"])
@@ -294,21 +286,10 @@ def poly_to_text(f: PolyFunction) -> str:
     return "0"
   pieces = []
   for exps, v in sorted(f.terms.items()):
-    factors = []
-    for i, e in enumerate(exps):
-      if e == 1:
-        factors.append(f"x{i}")
-      elif e > 1:
-        factors.append(f"x{i}^{e}")
-    mag = abs(v)
-    body = "*".join(factors)
-    if not factors:
-      body = format_rational(mag)
-    elif mag != 1:
-      body = f"{format_rational(mag)}*{body}"
-    pieces.append((v < 0, body))
-  first_neg, first_body = pieces[0]
-  text = ("-" if first_neg else "") + first_body
-  for neg, body in pieces[1:]:
-    text += (" - " if neg else " + ") + body
-  return text
+    factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
+               for i, e in enumerate(exps) if e]
+    if abs(v) != 1 or not factors:
+      factors.insert(0, format_rational(abs(v)))
+    pieces.append((" - " if v < 0 else " + ") + "*".join(factors))
+  text = "".join(pieces)  # the first sign is "-" or nothing
+  return ("-" if text[1] == "-" else "") + text[3:]

@@ -37,8 +37,9 @@ from .algebra_core import (_UPPER, MAX_DIM, JacobiReport, StructureConstants,
                            _from_numerators, _jacobiator, basis_vector,
                            bracket_eval)
 from .errors import InternalCheckError, SizeCapError
-from .linalg import (ClearedTable, _code, _exact_sum_dtype, cleared,
-                     frac_matrix, identity_matrix, is_nilpotent, mats_equal)
+from .linalg import (ClearedTable, _code, _exact_sum_dtype, _first_nonzero,
+                     cleared, frac_matrix, identity_matrix, is_nilpotent,
+                     mats_equal)
 from .rationals import as_fraction, format_rational
 
 MAX_N = 64
@@ -219,11 +220,8 @@ def _validate_by_slices(dense: np.ndarray, scale: int) -> WValidationReport:
     for q0 in range(s + 1, n, _SLICE_BLOCK):
       block = slices[q0:q0 + _SLICE_BLOCK]
       comm = slices[s] @ block - block @ slices[s]  # [q - q0, i, p]
-      hit = comm != 0
-      rows = np.flatnonzero(hit.any(axis=(0, 2)))
-      if len(rows):
-        i = int(rows[0])
-        q, p = (int(x) for x in np.argwhere(hit[:, i])[0])
+      if comm.any():  # allocates nothing
+        i, q, p = _first_nonzero(comm.transpose(1, 0, 2))
         if best is None or (i, s, q0 + q, p) < best[0]:
           best = (i, s, q0 + q, p), comm[q, i, p]
   if best is None:
@@ -293,13 +291,13 @@ def _validate_by_join(n: int, flat: np.ndarray, vals: np.ndarray,
     key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sums = np.add.reduceat(prod[order], starts)
-    hits = np.flatnonzero(sums)
-    if len(hits):
-      indices = np.unravel_index(key[starts[hits[0]]], (n,) * 4)
+    hit = _first_nonzero(sums)
+    if hit is not None:
+      indices = np.unravel_index(key[starts[hit[0]]], (n,) * 4)
       return WValidationReport(
           ok=False, failure="quadratic",
           indices=tuple(int(x) for x in indices),
-          residual=Fraction(int(sums[hits[0]]), scale * scale))
+          residual=Fraction(int(sums[hit[0]]), scale * scale))
   return WValidationReport(ok=True)
 
 
@@ -315,9 +313,9 @@ def _validate_direct(dense: np.ndarray, scale: int) -> WValidationReport:
   for i in range(n):
     # t[s, q, p] = sum_k W^{sk}_i W^{qp}_k; the second term is t[q, s, p]
     t = lower[i].dot(lower.reshape(n, n * n)).reshape(n, n, n)
-    hits = np.argwhere(t != t.transpose(1, 0, 2))
-    if len(hits):
-      s, q, p = (int(x) for x in hits[0])
+    hit = _first_nonzero(t != t.transpose(1, 0, 2))
+    if hit is not None:
+      s, q, p = hit
       residual = Fraction(int(t[s, q, p] - t[q, s, p]), scale * scale)
       return WValidationReport(ok=False, failure="quadratic",
                                indices=(i, s, q, p), residual=residual)
@@ -507,6 +505,14 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
       (x.shape[0] * y.shape[0],) * 3)
 
 
+def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+  """sum_m x[m, j, k, t] * y[m, b, c, f] laid out as [(j, b), (k, c), (t, f)]
+  by one (n^3 x m) by (m x d^3) product, then one transposed copy."""
+  n, d = x.shape[1], y.shape[1]
+  return (x.reshape(len(x), -1).T @ y.reshape(len(y), -1)).reshape(
+      n, n, n, d, d, d).transpose(0, 3, 1, 4, 2, 5).reshape((n * d,) * 3)
+
+
 def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
                       scale: int) -> JacobiReport:
   """Jacobi residual of the extension bracket through G's Jacobi identity.
@@ -517,9 +523,9 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
   (checked), so D(acb) = p + q, p = D(abc), q = D(bca), and the block of u
   is x p^T + y q^T, x = A(ijk) - A(ikj), y = A(jki) - A(ikj): zero iff its
   column at the first nonzero row (ps, qs) of [p q] is zero and [p q] has
-  rank below 2 or x = y = 0.  Nonzero blocks are built in u order until one
-  has an entry u < v < t; for a symmetric W the first one has.  No step
-  assumes W symmetric.
+  rank below 2 or x = y = 0.  Nonzero blocks are built in u order, each as
+  one product (``_outer_sum``), until one has an entry u < v < t (for a
+  symmetric W the first one has).  No step assumes W symmetric.
   """
   n, d = wd.shape[0], cd.shape[0]
   left, right = cd.reshape(d * d, d), cd.reshape(d, d * d)
@@ -530,13 +536,12 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
     q = q.transpose(2, 0, 1, 3)  # p = D(abc), q = D(bca) at [a, b, c, f]
     jacobiator = p - p.transpose(0, 2, 1, 3) + q  # D(abc) - D(acb) + D(bca)
     if jacobiator.any():
-      a, b, c, f = (int(x) for x in np.argwhere(jacobiator)[0] + (a0, 0, 0, 0))
-      raise ValueError(f"algebra fails Jacobi at {(a, b, c, f)}")
+      a, b, c, f = _first_nonzero(jacobiator)
+      raise ValueError(f"algebra fails Jacobi at {(a + a0, b, c, f)}")
     p, q = (x.reshape(len(x), -1) for x in (p, q))
-    first = ((p != 0) | (q != 0)).argmax(axis=1)[:, None]
-    ps, qs = np.take_along_axis(p, first, 1), np.take_along_axis(q, first, 1)
+    first = np.arange(len(p)), ((p != 0) | (q != 0)).argmax(axis=1)
     # q = p^T - p, so [p q] has rank below 2 iff q = 0 or q = -2p
-    parts.append((ps[:, 0], qs[:, 0], (q != 0).any(1) & (q != -2 * p).any(1)))
+    parts.append((p[first], q[first], (q != 0).any(1) & (q != -2 * p).any(1)))
   ps, qs, rank2 = (np.concatenate(x) for x in zip(*parts))
   if not (ps.any() or qs.any()):  # D = 0: G is 2-step nilpotent
     return JacobiReport(ok=True)
@@ -550,13 +555,13 @@ def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
   later = _UPPER[:n * d, :n * d]  # later[v, t]: t > v
   for u in np.flatnonzero(blocks).tolist():
     i, a = divmod(u, d)
-    # A(ikj) D(acb) at [v, t] is A(ijk) D(abc) at [t, v]
-    o = _outer(aw[i], (left[a * d:a * d + d] @ right).reshape(d, d, d))
-    r = o - o.transpose(1, 0, 2) + _outer(aw[:, :, i],
-                                          (left @ cd[:, a]).reshape(d, d, d))
-    hits = np.argwhere((r[u + 1:] != 0) & later[u + 1:, :, None])
-    if len(hits):
-      v, t, f = (int(x) for x in hits[0] + (u + 1, 0, 0))
+    dabc = (left[a * d:a * d + d] @ right).reshape(d, d, d)
+    # D(bca) and D(acb) at [b, c, f], against A(jki) and A(ikj) at [j, k, t]
+    r = _outer_sum(orders[:, i], np.stack([
+        dabc, (left @ cd[:, a]).reshape(d, d, d), -dabc.transpose(1, 0, 2)]))
+    hit = _first_nonzero((r[u + 1:] != 0) & later[u + 1:, :, None])
+    if hit is not None:
+      v, t, f = hit[0] + u + 1, hit[1], hit[2]
       return JacobiReport(ok=False, violation=(u, v, t, f),
                           residual=Fraction(int(r[v, t, f]), scale**2))
   return JacobiReport(ok=True)

@@ -1,5 +1,6 @@
 """Structure constants, Jacobi validation, centers, pencils, compatibility."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt, lcm
@@ -20,7 +21,7 @@ from liebundle import (InternalCheckError, JacobiReport, ad_matrix, basis_vector
 from liebundle import circulant_w, induced_structure_constants, make_wtensor
 from liebundle import algebra_core, wtensor
 from liebundle.algebra_core import so_matrix_basis
-from liebundle.linalg import nullspace
+from liebundle.linalg import _first_nonzero, nullspace
 from liebundle.rationals import as_fraction
 
 
@@ -815,6 +816,100 @@ def test_scans_match_the_sparse_oracle_on_so_bundles():
       assert assert_scans_match_the_oracle(so, bundle).compatible
       verdicts.add(assert_scans_match_the_oracle(so, swapped).compatible)
   assert verdicts == {True, False}
+
+
+# fails Jacobi: [[e0, e1], e2] + [[e1, e2], e0] + [[e2, e0], e1] = -e1 - e2
+FAILING3 = {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}}
+
+
+def failing_at(d, triple, rng):
+  """A table of dimension d that fails Jacobi at the basis triple ``triple``
+  and nowhere else: FAILING3 on those three vectors, each of its brackets
+  with random components along the other d - 3 vectors too, which are
+  central, so that every triple holding one of them has zero residual."""
+  u, v, t = triple
+  others = [e for e in range(d) if e not in triple]
+  brackets = {}
+  for (x, y), coeffs in FAILING3.items():
+    row = {e: F(rng.randint(-3, 3), rng.randint(1, 2)) for e in others}
+    row.update({triple[e]: F(c) for e, c in coeffs.items()})
+    brackets[(triple[x], triple[y])] = row
+  return make_structure_constants(d, brackets)
+
+
+def random_dense_table(rng, d):
+  """Every bracket [e_a, e_b], a < b, with a random rational component
+  along every e_f, now and then zero."""
+  return make_structure_constants(d, {
+      (a, b): {e: F(rng.randint(-3, 3), rng.randint(1, 2)) for e in range(d)}
+      for a in range(d) for b in range(a + 1, d)})
+
+
+def checked_reports(first, second):
+  """validate on both tables and mixed on the pair, once the oracle has
+  checked them (``assert_scans_match_the_oracle``)."""
+  assert_scans_match_the_oracle(first, second)
+  return [validate_structure_constants(first),
+          validate_structure_constants(second),
+          mixed_jacobi_check(first, second)]
+
+
+def test_scan_witnesses_at_the_first_and_the_last_u():
+  rng = random.Random(4742)
+  for lie in ("sl2", "so(4)", "gl(3)", "gl(4)"):
+    lie = change_basis(builtin_algebra(lie), rng)  # dense, and a Lie table
+    d = lie.dim + 3
+    # dense random tables fail at u = 0, with thousands of nonzero
+    # residuals after the witness at d = 19
+    first, second = random_dense_table(rng, d), random_dense_table(rng, d)
+    assert all(rep.violation[0] == 0
+               for rep in checked_reports(first, second))
+    # the dense Lie table with a failing summand on the last three vectors
+    # fails at the last u, d - 3, only: the residual of a triple with
+    # vectors from both summands is zero, and the mixed residual of the
+    # Lie table with itself is minus twice its Jacobiator
+    pair = []
+    for _ in range(2):
+      bad = make_structure_constants(3, {
+          key: {e: F(rng.randint(-3, 3), rng.randint(1, 2)) for e in range(3)}
+          for key in FAILING3})
+      while sparse_jacobi_oracle(3, [(bad, bad)]).ok:
+        bad = make_structure_constants(3, FAILING3)
+      pair.append(direct_sum([lie, bad]))
+    *reports, mixed = checked_reports(*pair)
+    assert all(rep.violation[0] == d - 3 for rep in reports)
+    assert mixed.ok or mixed.violation[0] == d - 3
+
+
+def test_scan_witness_at_every_basis_triple():
+  # the pair (v, t) of the witness is read off the row of its u's residual
+  rng = random.Random(35)
+  for d in (3, 4, 7):
+    for triple in itertools.combinations(range(d), 3):
+      c = failing_at(d, triple, rng)
+      for rep in checked_reports(c, c):
+        assert rep.violation[:3] == triple
+
+
+def test_first_nonzero_is_the_first_entry_in_c_order():
+  rng = np.random.default_rng(7)
+  x = rng.integers(-1, 2, (6, 6, 6))
+  later = np.triu(np.ones((6, 6), dtype=bool), 1)  # later[v, t]: t > v
+  last = np.zeros(10**5, dtype=bool)
+  last[-1] = True
+  cases = [
+      np.zeros(0), np.zeros((3, 0, 2), dtype=bool),  # empty
+      np.zeros((4, 5)), np.array([0.0, -0.0]),  # nothing nonzero
+      last, np.array([0.0, -0.0, 0.0, 3.0]),  # a hit at the last element
+      (x != 0) & later[:, :, None],  # masked to u < v < t, as the scans mask
+      (x[3:] != 0) & later[3:, :, None], x.transpose(2, 0, 1),  # strided
+      np.array([[0, 0], [0, 2**70]], dtype=object),  # Python integers
+      np.array([0, 0, 0], dtype=object), x.astype(object)]
+  for a in cases:
+    hits = np.argwhere(a)
+    expected = tuple(int(i) for i in hits[0]) if len(hits) else None
+    assert _first_nonzero(a) == expected, a
+  assert _first_nonzero(last) == (10**5 - 1,)
 
 
 def test_exactness_bound_of_the_table_scan(monkeypatch):

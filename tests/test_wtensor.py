@@ -1070,6 +1070,92 @@ def test_certify_matches_the_factorised_loop():
   assert {x[2] for x in seen} == {x[3] for x in seen} == {True, False}
 
 
+def dense_symmetric_w(rng, n, top=None):
+  """A seeded W with a value at every symmetric pair (i <= j, s): near
+  ``top`` when it is given, else small fractions, now and then zero."""
+  entries = {}
+  for i in range(n):
+    for j in range(i, n):
+      for s in range(n):
+        entries[(i, j, s)] = entries[(j, i, s)] = (
+            top + rng.randint(-3, 3) if top else
+            F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+  return make_wtensor(n, entries)
+
+
+# the benchmark's largest certify shapes, n*d = 36
+LARGEST_SHAPES = (("sl2", 12), ("gl(2)", 9), ("so(4)", 6), ("gl(3)", 4))
+
+
+def test_certify_witness_of_dense_tensors_at_the_largest_shapes():
+  # a dense random W fails at u = 0, where both routes' first block holds
+  # thousands of nonzeros; the witness is the first of them
+  rng = random.Random(3636)
+  for name, n in LARGEST_SHAPES:
+    g = builtin_algebra(name)
+    for _ in range(2):
+      w = dense_symmetric_w(rng, n)
+      rep = jacobi_certify(w, g)
+      assert not rep.ok and rep.violation[0] == 0
+      assert rep == factorised_oracle(w, g) == certify_oracle(w, g), name
+      # one-sided: a few mirrors cut, or only the entries with i <= j kept
+      entries = dict(w.entries)
+      for key in rng.sample([k for k in entries if k[0] < k[1]], 3):
+        del entries[key[1], key[0], key[2]]
+      for one_sided in (entries, {k: v for k, v in w.entries.items()
+                                  if k[0] <= k[1]}):
+        v = make_wtensor(n, one_sided)
+        rep = jacobi_certify(v, g)
+        assert rep == factorised_oracle(v, g) == certify_oracle(v, g), name
+
+
+@pytest.fixture
+def built(monkeypatch):
+  """The x argument's shape of every call of the block builder: certify's
+  rank-two route builds each (nd)^3 block as one sum of outer products."""
+  calls = []
+  outer_sum = wtensor._outer_sum
+  monkeypatch.setattr(wtensor, "_outer_sum", lambda x, y: (
+      calls.append(x.shape) or outer_sum(x, y)))
+  return calls
+
+
+def test_certify_witness_in_the_last_block_that_can_hold_one(built):
+  # a block u = (i, a) whose v and t lie in block i too is zero (it is G's
+  # Jacobiator times A(iii)), so block n - 2 is the last that can hold a
+  # witness; coupling only blocks n - 2 and n - 1 puts it there, and it is
+  # the first and only block built
+  for name, n in LARGEST_SHAPES + (("so3", 2), ("gl(2)", 3)):
+    g = builtin_algebra(name)
+    w = make_wtensor(n, {(n - 2, n - 1, n - 2): 1, (n - 1, n - 2, n - 2): 1})
+    built.clear()
+    rep = jacobi_certify(w, g)
+    assert rep.violation[0] == (n - 2) * g.dim and len(built) == 1, name
+    assert rep == factorised_oracle(w, g), name
+    if n * g.dim <= 12:  # certify_oracle takes over a second at n*d = 36
+      assert rep == certify_oracle(w, g), name
+
+
+@pytest.mark.parametrize("top, dtype", [(2**25, np.int64), (2**40, object)])
+def test_certify_witness_in_the_integer_tiers(monkeypatch, top, dtype):
+  # entries near 2^25 put 3*n*d*(Mw*Mc)^2 above 2^53 (int64), near 2^40
+  # above 2^62 (Python integers), already at n*d = 6
+  dtypes = []
+  route = wtensor._certify_rank_two
+  monkeypatch.setattr(wtensor, "_certify_rank_two", lambda wd, cd, scale: (
+      dtypes.append(wd.dtype) or route(wd, cd, scale)))
+  rng = random.Random(top)
+  for name, n in (("sl2", 2), ("so3", 2), ("gl(2)", 2), ("sl2", 3)):
+    g = builtin_algebra(name)
+    w = dense_symmetric_w(rng, n, top)
+    entries = dict(w.entries)
+    del entries[max(k for k in entries if k[0] > k[1])]
+    for v in (w, make_wtensor(n, entries)):  # symmetric and one-sided
+      rep = jacobi_certify(v, g)
+      assert dtypes[-1] == dtype and not rep.ok
+      assert rep == factorised_oracle(v, g) == certify_oracle(v, g), name
+
+
 def factor_parts(w, c):
   """A[i, j, k, t] = sum_s W^{ij}_s W^{sk}_t and D[a, b, c, f] =
   [[e_a, e_b], e_c]_f on the cleared numerators, in Python integers."""
@@ -1098,7 +1184,7 @@ def block_parts(w, c, i, a):
   return x.ravel(), y.ravel(), dd[a].ravel(), dd[:, :, a].ravel()
 
 
-def test_every_branch_of_the_block_zero_test(monkeypatch):
+def test_every_branch_of_the_block_zero_test(built):
   sl2, h3 = builtin_algebra("sl2"), builtin_algebra("heisenberg3")
   # [[e_0, b], c] is symmetric in (b, c) here, so q = 0 at a = 0
   r2 = make_structure_constants(2, {(0, 1): {0: -1}})
@@ -1107,10 +1193,6 @@ def test_every_branch_of_the_block_zero_test(monkeypatch):
                                     (1, 3): {6: 1}, (1, 4): {5: 1},
                                     (2, 3): {5: 1}, (0, 6): {5: 2}})
   assert validate_structure_constants(n7).ok
-  built = []  # every (nd)^3 block is two outer products; the table is one
-  outer = wtensor._outer
-  monkeypatch.setattr(wtensor, "_outer", lambda x, y: (
-      built.append(x.shape) or outer(x, y)))
 
   def check(w, g, violation, blocks):
     """The residual blocks of w over g, checking the report against the
@@ -1118,7 +1200,7 @@ def test_every_branch_of_the_block_zero_test(monkeypatch):
     built.clear()
     rep = jacobi_certify(w, g)
     assert rep == certify_oracle(w, g) and rep.violation == violation
-    assert len(built) == 2 * blocks + 1, (w.entries, g.name)
+    assert len(built) == blocks, (w.entries, g.name)
     return residual_blocks(w, g)
 
   # x = y = 0 for a valid W: no block is built, whatever the rank of [p q]
