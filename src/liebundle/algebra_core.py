@@ -210,32 +210,13 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
                    for b in range(c.dim)], dtype=object).T
 
 
-def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
-                sign: int = 1) -> JacobiReport:
-  """The first violation (u, v, t, f), u < v < t, of a Jacobi identity.
-
-  With B[u, v, t, f] = sum_g left[u, v, g] right[g, t, f], the residual is
-  ``sign`` * (B[u, v, t] - B[u, t, v] + B[v, t, u]) / ``scale``^2 over
-  u < v < t, which for a bracket table is [[u, v], t] - [[u, t], v] +
-  [[v, t], u].  When ``left`` is antisymmetric in (u, v), -B[u, t, v] =
-  B[t, u, v] and this is the Jacobiator, which is alternating, so u < v < t
-  suffice; for a table that is not antisymmetric (the induced table of a W
-  that is not symmetric) it is that form as it stands, certify's residual.
-  For each u it is P[v, t] - P[t, v] + B[v, t, u] with P[v, t] = B[u, v, t],
-  from two matrix products: P over v, t > u, and B[v, t, u] over the pairs
-  u < v < t, which are the last rows of left[v, t] over v < t in C order.
-  A zero residual costs a count that allocates nothing, and the first
-  nonzero one is read by ``_first_nonzero``.  The dtype must hold every
-  partial sum exactly (see ``_exact_sum_dtype``).
-  """
-  n, g = left.shape[0], right.shape[0]
-  upper = _UPPER[:n, :n]  # its corner [:k, :k] is its [u + 1:, u + 1:]
-  pairs, columns = left[upper], right.reshape(g, n * n)
+def _first_violation(n: int, rows, scale: int, sign: int = 1) -> JacobiReport:
+  """The first violation (u, v, t, f), u < v < t, in u order: row r, column
+  f of ``rows(u)`` is ``sign`` * ``scale``^2 times the residual at pair r of
+  u < v < t in C order.  A zero block costs a count that allocates
+  nothing, and ``_first_nonzero`` reads the first nonzero entry."""
   for u in range(n - 2):
-    k = n - u - 1
-    p = (left[u, u + 1:] @ columns[:, (u + 1) * n:]).reshape(k, k, n)
-    jac = pairs[len(pairs) - k * (k - 1) // 2:] @ right[:, u]
-    jac += (p - p.transpose(1, 0, 2))[upper[:k, :k]]
+    jac = rows(u)
     if np.count_nonzero(jac):
       row, f = _first_nonzero(jac)
       v, t = u + 1, u + 2 + row  # pair ``row`` of u < v < t in C order
@@ -244,6 +225,33 @@ def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
       return JacobiReport(ok=False, violation=(u, v, t, f),
                           residual=Fraction(sign * int(jac[row, f]), scale**2))
   return JacobiReport(ok=True)
+
+
+def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
+                sign: int = 1) -> JacobiReport:
+  """The first violation (u, v, t, f), u < v < t, of a Jacobi identity:
+  with B[u, v, t, f] = sum_g left[u, v, g] right[g, t, f], the residual
+  ``sign`` * (B[u, v, t] - B[u, t, v] + B[v, t, u]) / ``scale``^2, for a
+  bracket table [[u, v], t] - [[u, t], v] + [[v, t], u].  When ``left`` is
+  antisymmetric in (u, v), -B[u, t, v] = B[t, u, v] and this is the
+  Jacobiator, which is alternating, so u < v < t suffice; for a table that
+  is not antisymmetric (the induced table of a W that is not symmetric) it
+  is that form as it stands, certify's residual.  Per u it is P[v, t] -
+  P[t, v] + B[v, t, u], P[v, t] = B[u, v, t], from two products: P over
+  v, t > u, and B[v, t, u] from the pairs' rows left[v, t].  The dtype must
+  hold every partial sum exactly (see ``_exact_sum_dtype``)."""
+  n, g = left.shape[0], right.shape[0]
+  upper = _UPPER[:n, :n]  # its corner [:k, :k] is its [u + 1:, u + 1:]
+  pairs, columns = left[upper], right.reshape(g, n * n)
+
+  def rows(u: int) -> np.ndarray:
+    k = n - u - 1
+    p = (left[u, u + 1:] @ columns[:, (u + 1) * n:]).reshape(k, k, n)
+    jac = pairs[len(pairs) - k * (k - 1) // 2:] @ right[:, u]
+    jac += (p - p.transpose(1, 0, 2))[upper[:k, :k]]
+    return jac
+
+  return _first_violation(n, rows, scale, sign)
 
 
 def validate_structure_constants(c: StructureConstants) -> JacobiReport:

@@ -142,22 +142,19 @@ class ClearedTable:
     nums = self.dense.ravel()
     return flat, nums[flat] if len(flat) < len(nums) else nums
 
-  def brackets(self, upper: bool = True, over_scale: bool = True) -> dict:
+  def brackets(self, upper: bool = True) -> dict:
     """The nonzero entries as {(a, b): {e: dense[a, b, e] / scale}}, in C
     order: [e_a, e_b] of structure constants, or the W^{ij}_s of [x_i, y_j]
     of a W-tensor.  Only the pairs a < b when ``upper``; one Fraction per
-    distinct value, or the Python integers dense[a, b, e] when not
-    ``over_scale``."""
+    distinct value."""
     flat, nums = self._nonzero
     index = np.unravel_index(flat, self.dense.shape)
     keep = index[0] < index[1] if upper else slice(None)
     nums = nums[keep].tolist()
-    if over_scale:
-      value = {x: Fraction(x, self.scale) for x in set(nums)}
-      nums = map(value.__getitem__, nums)
+    value = {x: Fraction(x, self.scale) for x in set(nums)}
     grouped: dict = {}
     for a, b, e, x in zip(*(i[keep].tolist() for i in index), nums):
-      grouped.setdefault((a, b), {})[e] = x
+      grouped.setdefault((a, b), {})[e] = value[x]
     return grouped
 
 

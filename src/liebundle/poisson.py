@@ -3,8 +3,8 @@
 On the dual space with coordinates xi_0..xi_{d-1} the bracket
 {f, g} = sum c_ab^e xi_e (df/dxi_a)(dg/dxi_b) is Poisson exactly when c
 satisfies Jacobi.  Polynomials are exact: sparse exponent-tuple -> Fraction
-maps, no floats anywhere.  The Jacobi scan runs the same bracket on the
-table's cleared numerators, as Python integers, with its residual over scale^2.
+maps, no floats anywhere.  The Jacobi check asks instead that a -> ad_a be
+a homomorphism, on the table's cleared numerators.
 """
 
 from __future__ import annotations
@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra_core import (JacobiReport, StructureConstants, center_basis,
+import numpy as np
+
+from .algebra_core import (_UPPER, JacobiReport, StructureConstants,
+                           _first_violation, center_basis,
                            validate_structure_constants)
 from .errors import InternalCheckError
+from .linalg import _exact_sum_dtype, cleared
 from .rationals import as_fraction, format_rational
 
 Terms = dict[tuple[int, ...], Fraction]
@@ -140,10 +144,11 @@ def _partials(terms: Terms) -> dict[int, Terms]:
   return dict(sorted(out.items()))
 
 
-def _bracket(table, df: dict, dg: dict, terms: dict) -> dict:
-  """Add sum of c_ab^e xi_e f_a g_b to ``terms`` over a != b in the
+def _bracket(table, df: dict, dg: dict) -> dict:
+  """The nonzero terms of sum c_ab^e xi_e f_a g_b over a != b in the
   derivative supports of f and g (c_ba = -c_ab), not over the whole table.
-  ``table`` is {(a, b): {e: c_ab^e}} for a < b, Fractions or numerators."""
+  ``table`` is {(a, b): {e: c_ab^e}} for a < b."""
+  terms: Terms = {}
   for a, fa in df.items():
     for b, gb in dg.items():
       sign = 1 if a < b else -1
@@ -157,7 +162,7 @@ def _bracket(table, df: dict, dg: dict, terms: dict) -> dict:
           for e, v in coeffs.items():
             key = base[:e] + (base[e] + 1,) + base[e + 1:]
             terms[key] = terms.get(key, 0) + v * w
-  return terms
+  return {k: v for k, v in terms.items() if v}
 
 
 def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
@@ -165,70 +170,60 @@ def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
   c = _constants_of(t)
   if f.dim != c.dim or g.dim != c.dim:
     raise ValueError("polynomials do not match the algebra dimension")
-  terms = _bracket(c.table, _partials(f.terms), _partials(g.terms), {})
-  return PolyFunction(dim=c.dim, terms={k: v for k, v in terms.items() if v})
+  return PolyFunction(c.dim, _bracket(c.table, _partials(f.terms),
+                                      _partials(g.terms)))
 
 
-def _polynomial_jacobi(c: StructureConstants) -> JacobiReport:
-  """{{xi_a, xi_b}, xi_c} + cyclic for all a < b < c, first nonzero one.
-
-  Runs on the numerators dense[a, b, e], so the residual is over scale^2;
-  each xi_a and each {xi_a, xi_b} is differentiated once."""
+def _adjoint_jacobi(c: StructureConstants) -> JacobiReport:
+  """Jacobi as the adjoint homomorphism, with ad_a = x[a, e, f] at (f, e) on
+  the numerators x: ([ad_a, ad_b] - sum_g c_ab^g ad_g) e_c = [a, [b, c]] -
+  [b, [a, c]] - [[a, b], c] = -J(a, b, c).  For c > b > a, the first term
+  is the pairs x[b, c] times x[a], the others one product of x[a, a + 1:]
+  and both[g, c] = (x[g, c], x[c, g]); 3d terms each (``_exact_sum_dtype``)."""
   d = c.dim
-  table = c.brackets(over_scale=False)
-  dxi = [{a: {(0,) * d: 1}} for a in range(d)]
-  inner = {(a, b): _partials(_bracket(table, dxi[a], dxi[b], {}))
-           for a, b in combinations(range(d), 2)}
-  for a, b, cc in combinations(range(d), 3):
-    # {{xi_c, xi_a}, xi_b} = {xi_b, {xi_a, xi_c}} by antisymmetry
-    total = _bracket(table, inner[a, b], dxi[cc], {})
-    _bracket(table, inner[b, cc], dxi[a], total)
-    _bracket(table, dxi[b], inner[a, cc], total)
-    if any(total.values()):
-      # the residual polynomial is linear; the monomial with the
-      # lex-largest exponent tuple carries the smallest coordinate index
-      exps, value = max((k, v) for k, v in total.items() if v)
-      return JacobiReport(ok=False, violation=(a, b, cc, exps.index(1)),
-                          residual=Fraction(value, c.scale**2))
-  return JacobiReport(ok=True)
+  x = c.dense.astype(_exact_sum_dtype(3 * d * c.max_abs**2))
+  pairs = x[upper := _UPPER[:d, :d]]
+  both = np.stack([x, x.transpose(1, 0, 2)], axis=2).reshape(d, 2 * d * d)
+
+  def rows(a: int) -> np.ndarray:
+    k = d - a - 1
+    q = (x[a, a + 1:] @ both[:, 2 * d * (a + 1):]).reshape(k, k, 2, d)
+    jac = (q[:, :, 0] + q[:, :, 1].transpose(1, 0, 2))[upper[:k, :k]]
+    jac -= pairs[len(pairs) - k * (k - 1) // 2:] @ x[a]
+    return jac
+
+  return _first_violation(d, rows, c.scale)
 
 
 def poisson_jacobi_check(t) -> JacobiReport:
-  """Jacobi for the polynomial bracket on coordinate functions.
-
-  Computes {{xi_a, xi_b}, xi_c} + cyclic for all a < b < c and compares the
-  verdict with validate_structure_constants on the same table (two routes;
+  """Jacobi for the Lie-Poisson bracket, {{xi_a, xi_b}, xi_c} + cyclic = 0,
+  as the adjoint homomorphism (``_adjoint_jacobi``), compared with
+  validate_structure_constants on the same table (two formulas;
   disagreement raises InternalCheckError).  Accepts raw StructureConstants
-  so that invalid inputs can be *reported* rather than rejected upfront.
-  """
+  so that invalid inputs can be *reported* rather than rejected upfront."""
   c = _constants_of(t)
-  verdict = _polynomial_jacobi(c)
-  table_report = validate_structure_constants(c)
-  if verdict != table_report:
-    raise InternalCheckError(
-        f"polynomial Jacobi ({verdict!r}) disagrees with the table scan "
-        f"({table_report!r})")
-  return verdict
+  adjoint, table = _adjoint_jacobi(c), validate_structure_constants(c)
+  if adjoint != table:
+    raise InternalCheckError(f"adjoint-homomorphism Jacobi ({adjoint!r}) "
+                             f"disagrees with the table scan ({table!r})")
+  return adjoint
 
 
 def casimir_linear_basis(t) -> list[PolyFunction]:
-  """Linear Casimirs: coordinate combinations from the exact center.
-
-  Each returned polynomial is checked to Poisson-commute with every
-  coordinate function (InternalCheckError on failure -- that would be a
-  center computation bug).
-  """
+  """Linear Casimirs: coordinate combinations from the exact center, each
+  checked to Poisson-commute with every xi_b: {z, xi_b} = sum_e (sum_a z_a
+  c_ab^e) xi_e, so the cleared z times the numerators as a d x d^2 matrix
+  is zero (InternalCheckError otherwise -- a center computation bug)."""
   c = _constants_of(t)
   d = c.dim
-  out = []
-  for vec in center_basis(c):
-    poly = make_poly(d, {tuple(int(i == a) for i in range(d)): v
-                         for a, v in enumerate(vec)})
-    for b in range(d):
-      if not is_zero_poly(lie_poisson_bracket(c, poly, coordinate_poly(d, b))):
-        raise InternalCheckError("center vector fails to Poisson-commute")
-    out.append(poly)
-  return out
+  basis = center_basis(c)
+  if basis:
+    z = cleared([v for vec in basis for v in vec])[0].reshape(-1, d)
+    dtype = _exact_sum_dtype(d * int(abs(z).max()) * c.max_abs)
+    if (z.astype(dtype) @ c.dense.reshape(d, d * d).astype(dtype)).any():
+      raise InternalCheckError("center vector fails to Poisson-commute")
+  return [PolyFunction(d, {tuple(int(i == a) for i in range(d)): v
+                          for a, v in enumerate(vec) if v}) for vec in basis]
 
 
 def involution_check(tensors, fs) -> bool:

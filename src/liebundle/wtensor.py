@@ -53,9 +53,9 @@ class WTensor(ClearedTable):
   dense: np.ndarray
   scale: int
 
-  @cached_property
+  @property
   def entries(self) -> Entries:
-    """The nonzero entries {(i, j, s): W^{ij}_s}, always in C order."""
+    """The nonzero {(i, j, s): W^{ij}_s}, in C order; uncached, so no cycle."""
     return Entries(self)
 
   @cached_property

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liebundle import (InternalCheckError, JacobiReport, builtin_algebra,
-                       casimir_linear_basis, coordinate_poly,
+                       casimir_linear_basis, circulant_w, coordinate_poly,
                        induced_structure_constants, invalid_witness_w,
                        involution_check, lie_poisson_bracket,
                        make_poisson_tensor, make_poly,
@@ -18,6 +19,7 @@ from liebundle import (InternalCheckError, JacobiReport, builtin_algebra,
                        poly_to_text, so_sym_bundle, sum_bracket_table,
                        validate_structure_constants)
 from liebundle import poisson
+from liebundle.linalg import _exact_sum_dtype
 from liebundle.poisson import is_zero_poly, poly_zero
 
 F = Fraction
@@ -181,11 +183,12 @@ def test_bracket_matches_the_table_loop_oracle():
       assert lie_poisson_bracket(c, g, f).terms == bracket_oracle(c, g, f).terms
 
 
-def changed_once(rng, c, factor):
-  """c's table times ``factor`` with one coefficient moved by 1/2."""
+def changed_once(rng, c, factor, first=0):
+  """c's table times ``factor`` with one coefficient of a bracket (a, b),
+  a >= ``first``, moved by 1/2."""
   table = {key: {e: v * factor for e, v in coeffs.items()}
            for key, coeffs in c.table.items()}
-  coeffs = table[rng.choice(sorted(table))]
+  coeffs = table[rng.choice(sorted(key for key in table if key[0] >= first))]
   e = rng.randrange(c.dim)
   coeffs[e] = coeffs.get(e, 0) + F(1, 2)
   return make_structure_constants(c.dim, table)
@@ -223,6 +226,71 @@ def test_jacobi_check_matches_the_oracle_on_failing_tables():
   assert not any(r.ok for r in reports[30:])
   assert [r.violation[:3] for r in reports[-3:]] == [
       (3, 4, 5), (6, 7, 8), (4, 5, 6)]
+
+
+def tier(c):
+  return _exact_sum_dtype(3 * c.dim * c.max_abs**2)
+
+
+def test_jacobi_check_at_the_cap():
+  # d = 64: the induced table of a dense circulant n = 16 over gl(2), and
+  # gl(8); each passes, and fails with a coefficient moved in its last block
+  # (the last 4, resp. 8, basis vectors)
+  rng = random.Random(71)
+  induced = induced_structure_constants(circulant_w(range(1, 17)),
+                                        builtin_algebra("gl(2)"))
+  for c, block in ((induced, 4), (builtin_algebra("gl(8)"), 8)):
+    assert c.dim == 64
+    assert poisson_jacobi_check(c) == validate_structure_constants(c)
+    assert poisson_jacobi_check(c).ok
+    bad = changed_once(rng, c, 1, first=64 - block)
+    rep = poisson_jacobi_check(bad)
+    assert rep == validate_structure_constants(bad) and not rep.ok
+
+
+def test_jacobi_check_in_the_int64_tier():
+  rng = random.Random(73)
+  for name in ("gl(3)", "so(5)"):
+    c = changed_once(rng, builtin_algebra(name), 2**25 + 1)
+    assert tier(c) is np.int64
+    rep = poisson_jacobi_check(c)
+    assert rep == jacobi_oracle(c) and not rep.ok
+
+
+def test_jacobi_check_matches_the_table_scan_on_300_failing_tables():
+  # d = 3-12, sparse and dense, in every tier; d <= 5 against the oracle too
+  rng = random.Random(79)
+  tiers, small, failing = set(), 0, 0
+  while failing < 300:
+    d = rng.randint(3, 12)
+    density = rng.choice((0.15, 0.5, 1.0))
+    factor = rng.choice((1, F(2, 3), 2**25 + 1, 2**70))
+    c = make_structure_constants(d, {
+        (a, b): {e: factor * F(rng.randint(-3, 3), rng.randint(1, 3))
+                 for e in range(d) if rng.random() < density}
+        for a in range(d) for b in range(a + 1, d)})
+    expected = validate_structure_constants(c)
+    if expected.ok:
+      continue
+    failing += 1
+    tiers.add(tier(c))
+    assert poisson._adjoint_jacobi(c) == expected
+    assert poisson_jacobi_check(c) == expected
+    if d <= 5:
+      small += 1
+      assert jacobi_oracle(c) == expected
+  assert tiers == {np.float64, np.int64, object} and small >= 50
+
+
+def test_a_wrong_adjoint_report_is_a_tool_fault(monkeypatch):
+  bad = make_structure_constants(3, BROKEN)
+  rep = poisson_jacobi_check(bad)
+  for wrong in (JacobiReport(ok=True),
+                JacobiReport(ok=False, violation=rep.violation,
+                             residual=rep.residual + 1)):
+    monkeypatch.setattr(poisson, "_adjoint_jacobi", lambda c: wrong)
+    with pytest.raises(InternalCheckError):
+      poisson_jacobi_check(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +366,35 @@ def test_linear_casimirs_match_centers():
   basis = casimir_linear_basis(make_poisson_tensor(
       builtin_algebra("abelian(2)")))
   assert len(basis) == 2
+  # gl(3): the trace, also on numerators past 2^63 (Python integers)
+  gl3 = builtin_algebra("gl(3)")
+  trace = {tuple(int(i == a) for i in range(9)): F(1) for a in (0, 4, 8)}
+  assert [f.terms for f in casimir_linear_basis(gl3)] == [trace]
+  big = make_structure_constants(9, {key: {e: v * 2**70 for e, v in
+                                           coeffs.items()}
+                                     for key, coeffs in gl3.table.items()})
+  assert big.dense.dtype == object
+  assert [f.terms for f in casimir_linear_basis(big)] == [trace]
+
+
+def test_a_non_central_vector_is_a_tool_fault(monkeypatch):
+  # xi_2 is central in heisenberg3, also as a Fraction; xi_0 is not
+  h3 = builtin_algebra("heisenberg3")
+  monkeypatch.setattr(poisson, "center_basis",
+                      lambda c: [(F(0), F(0), F(1, 2))])
+  assert casimir_linear_basis(h3)[0].terms == {(0, 0, 1): F(1, 2)}
+  monkeypatch.setattr(poisson, "center_basis",
+                      lambda c: [(F(0), F(0), F(1, 2)), (F(1), F(0), F(0))])
+  with pytest.raises(InternalCheckError):
+    casimir_linear_basis(h3)
+  # exactly: sum_a z_a c_a3^0 = (2^60 + 1) + 2 - (2^60 + 2) = 1, which is 0
+  # in float64
+  c = make_structure_constants(4, {(0, 3): {0: 2**60 + 1}, (1, 3): {0: 2},
+                                   (2, 3): {0: 2**60 + 2}})
+  monkeypatch.setattr(poisson, "center_basis",
+                      lambda c: [(F(1), F(1), F(-1), F(0))])
+  with pytest.raises(InternalCheckError):
+    casimir_linear_basis(c)
 
 
 def test_involution_check():

@@ -1,7 +1,9 @@
 """W-tensor families, validation routes, truncation, extensions, JSON."""
 
+import gc
 import random
 import re
+import weakref
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -203,6 +205,20 @@ def test_max_abs_is_the_largest_absolute_numerator():
                t.max_abs == -int(t.dense.min()) > int(t.dense.max())))
   assert {(False, True, False), (False, False, True), (True, False, True),
           (True, False, False)} <= kinds
+
+
+def test_a_read_of_entries_leaves_no_reference_cycle():
+  # W is freed when its last reference goes, not at the next cycle
+  # collection: a W's dense array can take n^3 = 262,144 numerators
+  gc.disable()
+  try:
+    w = leibnitz_w(8)
+    assert len(w.entries) == 36 and w.entries == w.entries
+    ref = weakref.ref(w)
+    del w
+    assert ref() is None
+  finally:
+    gc.enable()
 
 
 def test_entries_counts_and_iterates_without_fractions(monkeypatch):
