@@ -22,8 +22,8 @@ from .matrix_bundle import (SandwichSuiteReport, beta_map, bracket_sandwich,
                             embed_circulant, extract_blocks,
                             has_circulant_pattern, sandwich_product,
                             sandwich_suite, so_sym_bundle)
-from .poisson import (PoissonTensor, PolyFunction, casimir_linear_basis,
-                      coordinate_poly, involution_check, lie_poisson_bracket,
+from .poisson import (PolyFunction, casimir_linear_basis, coordinate_poly,
+                      involution_check, lie_poisson_bracket,
                       make_poisson_tensor, make_poly, poisson_jacobi_check,
                       poly_add, poly_diff, poly_from_json, poly_mul,
                       poly_scale, poly_to_json, poly_to_text)

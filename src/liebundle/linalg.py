@@ -10,10 +10,11 @@ search that reads their witnesses.  Rank and nullspace work on a 2-D
 integer array: an integer array is taken as it is, and rationals are cleared
 first.  One exact front end (``_unsettled``) settles the rows with a single
 nonzero and then asks whether what is left has full column rank modulo the
-prime ``_PRIME``; only when it does not does the fraction-free elimination
-``_bareiss`` run, in Python integers.  The residues are integers below 2^31
-held in int64, whose products and differences stay below 2^62, so every
-decision is made on exact integers, never on a rounded value.
+prime ``_PRIME``; only when it does not does the one fraction-free
+elimination ``_bareiss`` run, in Python integers, fully reduced: rank counts
+its pivots, and nullspace reads its basis off it.  The residues are integers
+below 2^31 held in int64, whose products and differences stay below 2^62, so
+every decision is made on exact integers, never on a rounded value.
 ``frac_matrix`` and its helpers build object matrices of Fractions for
 exact matrix products.
 """
@@ -224,15 +225,14 @@ def _full_column_rank_mod_p(a: np.ndarray) -> bool:
   return True
 
 
-def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]]:
-  """Fraction-free elimination of the integer matrix ``a``, in Python
-  integers: its rows that hold a pivot, and the pivot columns, ascending.
+def _bareiss(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+  """Fraction-free Gauss-Jordan elimination of the integer matrix ``a``, in
+  Python integers: its pivot rows, and the pivot columns, ascending.
 
   Column c's pivot row is the first at or below the working row r with a
   nonzero in c.  One step, a[i] = (a[i] a[r, c] - a[i, c] a[r]) / prev
-  with prev the last pivot (at first 1), updates the rows below r, or with
-  ``reduce`` every other row: fraction-free Gauss-Jordan, after which every
-  pivot equals the last, D.  The division is exact either way, as every
+  with prev the last pivot (at first 1), updates every other row, after
+  which every pivot equals the last, D.  The division is exact, as every
   entry is a minor of ``a``: on the pivot rows and columns with row i and
   column j added (Bareiss) or, in a pivot row, with its pivot column
   replaced by column j (Cramer).
@@ -246,7 +246,7 @@ def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]
     if below is None:
       continue
     a[[r, r + below[0]]] = a[[r + below[0], r]]
-    rows = np.arange(len(a)) != r if reduce else slice(r + 1, None)
+    rows = np.arange(len(a)) != r
     a[rows] = (a[rows] * a[r, c] - a[rows, c:c + 1] * a[r]) // prev
     prev = a[r, c]
     pivots.append(c)
@@ -254,8 +254,8 @@ def _bareiss(a: np.ndarray, reduce: bool = False) -> tuple[np.ndarray, list[int]
 
 
 def rank(matrix) -> int:
-  """Exact rank over Q: the columns ``_unsettled`` settles, plus the rank
-  ``_bareiss`` finds on what is left."""
+  """Exact rank over Q: the columns ``_unsettled`` settles, plus the pivots
+  of ``_bareiss`` on what is left."""
   a = _integer_matrix(matrix)
   rest, columns = _unsettled(a)
   return a.shape[1] - len(columns) + len(_bareiss(rest)[1])
@@ -275,7 +275,7 @@ def nullspace(matrix) -> list[tuple[Fraction, ...]]:
   a = _integer_matrix(matrix)
   n = a.shape[1]
   rest, columns = _unsettled(a)
-  rest, pivots = _bareiss(rest, reduce=True)
+  rest, pivots = _bareiss(rest)
   d = rest[0, pivots[0]] if pivots else 1
   basis = []
   for f in sorted(set(range(len(columns))) - set(pivots)):

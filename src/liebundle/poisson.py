@@ -3,8 +3,9 @@
 On the dual space with coordinates xi_0..xi_{d-1} the bracket
 {f, g} = sum c_ab^e xi_e (df/dxi_a)(dg/dxi_b) is Poisson exactly when c
 satisfies Jacobi.  Polynomials are exact: sparse exponent-tuple -> Fraction
-maps, no floats anywhere.  The Jacobi check asks instead that a -> ad_a be
-a homomorphism, on the table's cleared numerators.
+maps, no floats anywhere.  The Jacobi check runs the Jacobiator kernel on
+the table's cleared numerators, with the inner bracket in the outer
+bracket's second slot ([t, [u, v]]), against the table scan's [[u, v], t].
 """
 
 from __future__ import annotations
@@ -13,28 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
-from .algebra_core import (_UPPER, JacobiReport, StructureConstants,
-                           _first_violation, center_basis,
-                           validate_structure_constants)
-from .errors import InternalCheckError
+from .algebra_core import (JacobiReport, StructureConstants, _jacobiator,
+                           center_basis, validate_structure_constants)
+from .errors import InternalCheckError, SizeCapError
 from .linalg import _exact_sum_dtype, cleared
 from .rationals import as_fraction, format_rational
 
 Terms = dict[tuple[int, ...], Fraction]
+
+# cap on the products lie_poisson_bracket forms, at 6.4-9.6 us each about 1 s
+MAX_BRACKET_WORK = 120_000
 
 
 @dataclass(frozen=True, eq=True)
 class PolyFunction:
   dim: int
   terms: Terms
-
-
-@dataclass(frozen=True)
-class PoissonTensor:
-  """A validated linear Poisson structure (constants satisfy Jacobi)."""
-  constants: StructureConstants
 
 
 def make_poly(dim: int, terms) -> PolyFunction:
@@ -116,21 +111,20 @@ def poly_diff(f: PolyFunction, a: int) -> PolyFunction:
   return PolyFunction(f.dim, _partials(f.terms).get(a, {}))
 
 
-def make_poisson_tensor(c: StructureConstants) -> PoissonTensor:
-  """Wrap validated structure constants; ValueError when Jacobi fails."""
+def make_poisson_tensor(c: StructureConstants) -> StructureConstants:
+  """``c`` itself, after checking that it satisfies Jacobi (ValueError when
+  it does not), so that it is a Poisson tensor."""
   report = validate_structure_constants(c)
   if not report.ok:
     raise ValueError(
         f"constants fail Jacobi at {report.violation}: not a Poisson tensor")
-  return PoissonTensor(constants=c)
+  return c
 
 
 def _constants_of(t) -> StructureConstants:
-  if isinstance(t, PoissonTensor):
-    return t.constants
   if isinstance(t, StructureConstants):
     return t
-  raise ValueError(f"expected PoissonTensor or StructureConstants, got {t!r}")
+  raise ValueError(f"expected StructureConstants, got {type(t).__name__}")
 
 
 def _partials(terms: Terms) -> dict[int, Terms]:
@@ -152,7 +146,7 @@ def _bracket(table, df: dict, dg: dict) -> dict:
   for a, fa in df.items():
     for b, gb in dg.items():
       sign = 1 if a < b else -1
-      coeffs = table.get((min(a, b), max(a, b))) if a != b else None
+      coeffs = table.get((min(a, b), max(a, b)))  # none at a = b
       if not coeffs:
         continue
       for e1, v1 in fa.items():
@@ -166,41 +160,34 @@ def _bracket(table, df: dict, dg: dict) -> dict:
 
 
 def lie_poisson_bracket(t, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-  """{f, g} = sum of c_ab^e xi_e f_a g_b (see ``_bracket``)."""
+  """{f, g} = sum of c_ab^e xi_e f_a g_b (see ``_bracket``), after checking
+  the number of products it forms against MAX_BRACKET_WORK."""
   c = _constants_of(t)
   if f.dim != c.dim or g.dim != c.dim:
     raise ValueError("polynomials do not match the algebra dimension")
-  return PolyFunction(c.dim, _bracket(c.table, _partials(f.terms),
-                                      _partials(g.terms)))
+  df, dg, table = _partials(f.terms), _partials(g.terms), c.table
+  work = sum(len(fa) * len(gb) * len(table.get((min(a, b), max(a, b)), ()))
+             for a, fa in df.items() for b, gb in dg.items())
+  if work > MAX_BRACKET_WORK:
+    raise SizeCapError(f"bracket products {work} exceed the cap "
+                       f"{MAX_BRACKET_WORK}")
+  return PolyFunction(c.dim, _bracket(table, df, dg))
 
 
 def _adjoint_jacobi(c: StructureConstants) -> JacobiReport:
-  """Jacobi as the adjoint homomorphism, with ad_a = x[a, e, f] at (f, e) on
-  the numerators x: ([ad_a, ad_b] - sum_g c_ab^g ad_g) e_c = [a, [b, c]] -
-  [b, [a, c]] - [[a, b], c] = -J(a, b, c).  For c > b > a, the first term
-  is the pairs x[b, c] times x[a], the others one product of x[a, a + 1:]
-  and both[g, c] = (x[g, c], x[c, g]); 3d terms each (``_exact_sum_dtype``)."""
-  d = c.dim
-  x = c.dense.astype(_exact_sum_dtype(3 * d * c.max_abs**2))
-  pairs = x[upper := _UPPER[:d, :d]]
-  both = np.stack([x, x.transpose(1, 0, 2)], axis=2).reshape(d, 2 * d * d)
-
-  def rows(a: int) -> np.ndarray:
-    k = d - a - 1
-    q = (x[a, a + 1:] @ both[:, 2 * d * (a + 1):]).reshape(k, k, 2, d)
-    jac = (q[:, :, 0] + q[:, :, 1].transpose(1, 0, 2))[upper[:k, :k]]
-    jac -= pairs[len(pairs) - k * (k - 1) // 2:] @ x[a]
-    return jac
-
-  return _first_violation(d, rows, c.scale)
+  """Jacobi as the adjoint homomorphism, ([ad_u, ad_v] - ad_[u, v]) e_t =
+  -J(u, v, t): the kernel (``_jacobiator``) on the numerators and their
+  (a, b) transpose, which contracts [t, [u, v]], with sign -1."""
+  x = c.dense.astype(_exact_sum_dtype(3 * c.dim * c.max_abs**2))
+  return _jacobiator(x, x.transpose(1, 0, 2), c.scale, sign=-1)
 
 
 def poisson_jacobi_check(t) -> JacobiReport:
   """Jacobi for the Lie-Poisson bracket, {{xi_a, xi_b}, xi_c} + cyclic = 0,
   as the adjoint homomorphism (``_adjoint_jacobi``), compared with
-  validate_structure_constants on the same table (two formulas;
-  disagreement raises InternalCheckError).  Accepts raw StructureConstants
-  so that invalid inputs can be *reported* rather than rejected upfront."""
+  validate_structure_constants on the same table (disagreement raises
+  InternalCheckError).  Accepts raw StructureConstants so that invalid
+  inputs can be *reported* rather than rejected upfront."""
   c = _constants_of(t)
   adjoint, table = _adjoint_jacobi(c), validate_structure_constants(c)
   if adjoint != table:
@@ -227,10 +214,10 @@ def casimir_linear_basis(t) -> list[PolyFunction]:
 
 
 def involution_check(tensors, fs) -> bool:
-  """True iff {f_i, f_j} = 0 for every pair under every given tensor."""
-  if isinstance(tensors, (PoissonTensor, StructureConstants)):
-    tensors = (tensors,)
-  fs = list(fs)
+  """True iff {f_i, f_j} = 0 for every pair under every given tensor (one
+  table, or a list or tuple of them)."""
+  tensors = tensors if isinstance(tensors, (list, tuple)) else (tensors,)
+  tensors, fs = [_constants_of(t) for t in tensors], list(fs)
   return all(is_zero_poly(lie_poisson_bracket(t, f, g))
              for t in tensors for f, g in combinations(fs, 2))
 

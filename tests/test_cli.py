@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -500,6 +501,29 @@ def test_poisson_bracket_goldens(workdir):
   assert code == 0
   assert out == ('{\n  "dim": 3,\n  "terms": [\n'
                  '    {"exps": [0, 0, 1], "value": "1"}\n  ]\n}\n')
+
+
+def test_poisson_bracket_is_bounded_before_work(workdir):
+  # 2,000 terms each over sl2 took 222 s before the cap; refused with exit
+  # 2 as a fresh process
+  _, write = workdir
+  rng = random.Random(89)
+  files = []
+  for _ in range(2):
+    terms = [{"exps": list(divmod(i // 13, 13)) + [i % 13],
+              "value": str(rng.choice((-1, 1)) * rng.randint(1, 9))}
+             for i in rng.sample(range(13**3), 2000)]
+    files.append(write(f"big{len(files)}.json", {"dim": 3, "terms": terms}))
+  assert run_cli_bounded("poisson-bracket", "--algebra", "sl2",
+                         "--f", files[0], "--g", files[1]) == 2
+  # README's example: the Casimir of sl2 commutes with every coordinate
+  cas = write("cas.json", {"dim": 3, "terms": [
+      {"exps": [2, 0, 0], "value": "1"}, {"exps": [0, 1, 1], "value": "4"}]})
+  for a in range(3):
+    xi = write("xi.json", {"dim": 3, "terms": [
+        {"exps": [int(i == a) for i in range(3)], "value": "1"}]})
+    assert run_cli("poisson-bracket", "--algebra", "sl2", "--f", cas,
+                   "--g", xi) == (0, "dim: 3\nbracket: 0\n")
 
 
 def test_poisson_bracket_dim_mismatch(workdir):

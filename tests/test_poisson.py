@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebundle import (InternalCheckError, JacobiReport, builtin_algebra,
-                       casimir_linear_basis, circulant_w, coordinate_poly,
-                       induced_structure_constants, invalid_witness_w,
-                       involution_check, lie_poisson_bracket,
-                       make_poisson_tensor, make_poly,
+from liebundle import (InternalCheckError, JacobiReport, SizeCapError,
+                       builtin_algebra, casimir_linear_basis, circulant_w,
+                       coordinate_poly, induced_structure_constants,
+                       invalid_witness_w, involution_check,
+                       lie_poisson_bracket, make_poisson_tensor, make_poly,
                        make_structure_constants, pencil_bracket,
                        poisson_jacobi_check, poly_add, poly_diff,
                        poly_from_json, poly_mul, poly_scale, poly_to_json,
@@ -395,6 +395,58 @@ def test_a_non_central_vector_is_a_tool_fault(monkeypatch):
                       lambda c: [(F(1), F(1), F(-1), F(0))])
   with pytest.raises(InternalCheckError):
     casimir_linear_basis(c)
+
+
+def test_non_table_arguments_are_refused():
+  f = sl2_casimir()
+  for bad in (f, {(0, 1): {2: 1}}, None):
+    with pytest.raises(ValueError):
+      poisson_jacobi_check(bad)
+    with pytest.raises(ValueError):
+      lie_poisson_bracket(bad, f, f)
+    with pytest.raises(ValueError):
+      casimir_linear_basis(bad)
+    with pytest.raises(ValueError):
+      involution_check(bad, [f, f])
+
+
+def test_make_poisson_tensor_returns_its_table():
+  for name in ("sl2", "heisenberg3", "gl(3)"):
+    c = builtin_algebra(name)
+    assert make_poisson_tensor(c) is c
+
+
+def random_terms(rng, count, dim=3, top=13):
+  """``count`` distinct exponent tuples below ``top`` with nonzero integer
+  values."""
+  return {tuple(int(k) for k in np.unravel_index(i, (top,) * dim)):
+          rng.choice((-1, 1)) * rng.randint(1, 9)
+          for i in rng.sample(range(top**dim), count)}
+
+
+def test_bracket_work_is_capped_before_any_product(monkeypatch):
+  # {xi_h, xi_e} = 2 xi_e forms one product
+  c = builtin_algebra("sl2")
+  h, e = coordinate_poly(3, 0), coordinate_poly(3, 1)
+  monkeypatch.setattr(poisson, "MAX_BRACKET_WORK", 1)
+  assert lie_poisson_bracket(c, h, e).terms == {(0, 1, 0): F(2)}
+  monkeypatch.setattr(poisson, "MAX_BRACKET_WORK", 0)
+  with pytest.raises(SizeCapError):
+    lie_poisson_bracket(c, h, e)
+  monkeypatch.undo()
+  # 2,000 terms each, about 2e7 products (222 s uncapped), refused
+  # before _bracket is reached
+  rng = random.Random(83)
+  f, g = (make_poly(3, random_terms(rng, 2000)) for _ in range(2))
+
+  def no_bracket(*args):
+    raise AssertionError("the bracket ran past the cap")
+
+  monkeypatch.setattr(poisson, "_bracket", no_bracket)
+  with pytest.raises(SizeCapError):
+    lie_poisson_bracket(c, f, g)
+  with pytest.raises(SizeCapError):
+    involution_check([c], [f, g])
 
 
 def test_involution_check():
