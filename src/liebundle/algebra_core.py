@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -210,21 +210,34 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
                    for b in range(c.dim)], dtype=object).T
 
 
-def _first_violation(n: int, rows, scale: int, sign: int = 1) -> JacobiReport:
-  """The first violation (u, v, t, f), u < v < t, in u order: row r, column
-  f of ``rows(u)`` is ``sign`` * ``scale``^2 times the residual at pair r of
-  u < v < t in C order.  A zero block costs a count that allocates
-  nothing, and ``_first_nonzero`` reads the first nonzero entry."""
-  for u in range(n - 2):
-    jac = rows(u)
-    if np.count_nonzero(jac):
-      row, f = _first_nonzero(jac)
-      v, t = u + 1, u + 2 + row  # pair ``row`` of u < v < t in C order
-      while t >= n:  # beyond v's last pair (v, n - 1): on to v + 1
-        v, t = v + 1, t - (n - 2 - v)
-      return JacobiReport(ok=False, violation=(u, v, t, f),
-                          residual=Fraction(sign * int(jac[row, f]), scale**2))
-  return JacobiReport(ok=True)
+# a block of leading indices grows while its two products hold at most this
+# many entries; it always holds one index
+_BLOCK_ENTRIES = 2**16
+
+
+@lru_cache(maxsize=16)
+def _jacobi_plan(n: int) -> list[tuple]:
+  """``_jacobiator``'s blocks [u0, u1) at dimension n, of 1, 2, 4, ... u while
+  their products hold at most ``_BLOCK_ENTRIES`` entries: the ranges of
+  their rows (u, v) and of the rows (v, t) above u0 among the pairs x < y,
+  and the product rows of B[u, v, t], B[u, t, v] and B[v, t, u] for their
+  triples u < v < t in C order (intp: C(64, 3) * 24 B, 1 MB, at n = 64)."""
+  x = np.arange(n + 1)
+  start = x * (2 * n - 1 - x) // 2  # start[x]: the pairs before (x, x + 1)
+  plan, u0, size = [], 0, 1
+  while u0 < n - 2:
+    w, size = n - 1 - u0, min(size, n - 2 - u0)  # w: the columns t > u0
+    while size > 1 and n * ((start[u0 + size] - start[u0]) * w +
+                            w * (w - 1) // 2 * size) > _BLOCK_ENTRIES:
+      size //= 2
+    u1 = u0 + size
+    u, v, t = np.nonzero(_UPPER[u0:u1, :n, None] & _UPPER[:n, :n])  # u from u0
+    rows = start[u0 + u] - start[u0] - u0 - u - 1  # pair (u0 + u, y): rows + y
+    plan.append((u0, u1, start[u0], start[u1], start[u0 + 1],
+                 (rows + v) * w + t - u0 - 1, (rows + t) * w + v - u0 - 1,
+                 (start[v] - start[u0 + 1] + t - v - 1) * size + u))
+    u0, size = u1, 2 * size
+  return plan
 
 
 def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
@@ -236,22 +249,27 @@ def _jacobiator(left: np.ndarray, right: np.ndarray, scale: int,
   antisymmetric in (u, v), -B[u, t, v] = B[t, u, v] and this is the
   Jacobiator, which is alternating, so u < v < t suffice; for a table that
   is not antisymmetric (the induced table of a W that is not symmetric) it
-  is that form as it stands, certify's residual.  Per u it is P[v, t] -
-  P[t, v] + B[v, t, u], P[v, t] = B[u, v, t], from two products: P over
-  v, t > u, and B[v, t, u] from the pairs' rows left[v, t].  The dtype must
-  hold every partial sum exactly (see ``_exact_sum_dtype``)."""
-  n, g = left.shape[0], right.shape[0]
-  upper = _UPPER[:n, :n]  # its corner [:k, :k] is its [u + 1:, u + 1:]
-  pairs, columns = left[upper], right.reshape(g, n * n)
-
-  def rows(u: int) -> np.ndarray:
-    k = n - u - 1
-    p = (left[u, u + 1:] @ columns[:, (u + 1) * n:]).reshape(k, k, n)
-    jac = pairs[len(pairs) - k * (k - 1) // 2:] @ right[:, u]
-    jac += (p - p.transpose(1, 0, 2))[upper[:k, :k]]
-    return jac
-
-  return _first_violation(n, rows, scale, sign)
+  is that form as it stands, certify's residual.  A block [u0, u1) of
+  ``_jacobi_plan`` takes two products, its pairs (u, v) times right[:, u0 +
+  1:] and the pairs (v, t) above u0 times right[:, u0:u1]; the scan stops
+  at the first block with a nonzero residual.  The dtype must hold every
+  partial sum exactly (see ``_exact_sum_dtype``)."""
+  n, (g, _, m) = left.shape[0], right.shape
+  pairs, columns = left[_UPPER[:n, :n]], right.reshape(g, n * m)
+  for u0, u1, p0, p1, p2, uvt, utv, vtu in _jacobi_plan(n):
+    first = (pairs[p0:p1] @ columns[:, (u0 + 1) * m:]).reshape(-1, m)
+    jac = first.take(uvt, axis=0)  # take gathers rows faster than [uvt]
+    jac -= first.take(utv, axis=0)
+    jac += (pairs[p2:] @ columns[:, u0 * m:u1 * m]).reshape(-1, m).take(
+        vtu, axis=0)
+    if jac.any():
+      row, f = _first_nonzero(jac)
+      w = n - 1 - u0  # the rows read the triple back: t > u0, v > u0, u
+      u, v, t = int(vtu[row]) % (u1 - u0), int(utv[row]) % w, int(uvt[row]) % w
+      return JacobiReport(ok=False,
+                          violation=(u0 + u, u0 + 1 + v, u0 + 1 + t, f),
+                          residual=Fraction(sign * int(jac[row, f]), scale**2))
+  return JacobiReport(ok=True)
 
 
 def validate_structure_constants(c: StructureConstants) -> JacobiReport:

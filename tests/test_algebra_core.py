@@ -23,6 +23,9 @@ from liebundle import algebra_core, wtensor
 from liebundle.algebra_core import so_matrix_basis
 from liebundle.linalg import _first_nonzero, nullspace
 from liebundle.rationals import as_fraction
+from liebundle import jacobi_certify, poisson_jacobi_check
+from liebundle.algebra_core import StructureConstants, _jacobi_plan
+from liebundle.linalg import _exact_sum_dtype
 
 
 F = Fraction
@@ -952,3 +955,148 @@ def test_tables_of_different_dimension_are_refused():
     with pytest.raises(ValueError, match=r"^brackets live on spaces of "
                        r"different dimension$"):
       check(so3, gl2)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's blocks of leading indices
+
+
+def test_jacobi_plan_visits_every_triple_once_in_c_order():
+  for n in range(3, 65):
+    triples, size = [], 1
+    for u0, u1, p0, p1, p2, uvt, utv, vtu in _jacobi_plan(n):
+      assert uvt.dtype == utv.dtype == vtu.dtype == np.intp
+      w, block = n - 1 - u0, u1 - u0
+      # block sizes double from one u, or halve under the entry cap
+      pairs = [(x, y) for x in range(u0, u1) for y in range(x + 1, n)]
+      above = [(x, y) for x in range(u0 + 1, n) for y in range(x + 1, n)]
+      entries = (len(pairs) * w + len(above) * block) * n
+      assert block == 1 or entries <= algebra_core._BLOCK_ENTRIES
+      assert block <= size or block == n - 2 - u0 < size
+      size = 2 * block
+      upper = [(x, y) for x in range(n) for y in range(x + 1, n)]
+      assert (upper[p0:p1], upper[p2:]) == (pairs, above)
+      row = {pair: k for k, pair in enumerate(pairs)}
+      row_above = {pair: k for k, pair in enumerate(above)}
+      # the product rows (u, v) x t, (u, t) x v and (v, t) x u of each triple
+      got = list(zip(uvt.tolist(), utv.tolist(), vtu.tolist()))
+      for k, (a, b, c) in enumerate(got):
+        t, v = u0 + 1 + a % w, u0 + 1 + b % w
+        u = u0 + c % block
+        assert (a, b, c) == (row[(u, v)] * w + t - u0 - 1,
+                             row[(u, t)] * w + v - u0 - 1,
+                             row_above[(v, t)] * block + u - u0)
+        triples.append((u, v, t))
+    assert triples == list(itertools.combinations(range(n), 3)), n
+
+
+# numerators of the failing brackets per tier: a scan at d >= 3 sums 3d
+# products of them, below 2^53, below 2^62 and beyond it
+TIERS = {np.float64: 1, np.int64: 2**25 + 1, object: 2**40 + 1}
+
+
+def planted(d, triples, big, rng):
+  """A table of dimension d that fails Jacobi at each of the disjoint basis
+  ``triples`` and nowhere else: on each, [e0, e1] = big e1, [e0, e2] =
+  (big + 1) e2 and [e1, e2] = big e1, each bracket with random components
+  n along the vectors of no triple, which are central.  All three terms of
+  the residual [[e0, e1], e2] - [[e0, e2], e1] + [[e1, e2], e0] =
+  big(big + 1) e1 + (2 big + 1) n12 - big n01 are nonzero."""
+  others = [e for e in range(d) if not any(e in t for t in triples)]
+  brackets = {}
+  for triple in triples:
+    for (x, y), (e, value) in (((0, 1), (1, big)), ((0, 2), (2, big + 1)),
+                               ((1, 2), (1, big))):
+      row = {f: F(rng.randint(-3, 3), rng.randint(1, 2)) for f in others}
+      row[triple[e]] = F(value)
+      brackets[(triple[x], triple[y])] = row
+  return make_structure_constants(d, brackets)
+
+
+def assert_table_scans_match(c, tier):
+  """validate, mixed (sign -1) and poisson (transposed right operand) on c
+  against the oracle, in ``tier``; returns validate's report."""
+  assert _exact_sum_dtype(3 * c.dim * c.max_abs**2) is tier
+  report = validate_structure_constants(c)
+  assert report == sparse_jacobi_oracle(c.dim, [(c, c)])
+  assert poisson_jacobi_check(c) == report
+  assert mixed_jacobi_check(c, c) == sparse_jacobi_oracle(
+      c.dim, [(c, c), (c, c)], sign=-1)
+  return report
+
+
+@pytest.mark.parametrize("tier", TIERS, ids=lambda t: np.dtype(t).name)
+def test_kernel_witness_at_every_basis_triple_in_every_tier(tier):
+  # every block boundary of the schedule up to d = 12: (0, 1), (1, 3),
+  # (3, 7) and (7, 10)
+  rng = random.Random(2510)
+  for d in range(3, 13):
+    for triple in itertools.combinations(range(d), 3):
+      report = assert_table_scans_match(
+          planted(d, [triple], TIERS[tier], rng), tier)
+      assert report.violation[:3] == triple
+
+
+@pytest.mark.parametrize("tier", TIERS, ids=lambda t: np.dtype(t).name)
+def test_kernel_reports_the_first_u_of_two_in_one_block(tier):
+  # two witnesses at different u in one block: the one with the smaller u,
+  # whether its (v, t) comes before or after the other's
+  rng = random.Random(2511)
+  seen = 0
+  for d in (12, 18, 24):
+    for u0, u1, *_ in _jacobi_plan(d):
+      if u1 - u0 < 2 or u1 + 1 >= d - 2:
+        continue
+      for first, second in (((u1 - 2, d - 2, d - 1), (u1 - 1, u1, u1 + 1)),
+                            ((u0, u1, u1 + 1), (u0 + 1, d - 2, d - 1))):
+        c = planted(d, [first, second], TIERS[tier], rng)
+        assert assert_table_scans_match(c, tier).violation[:3] == first
+        seen += 1
+  assert seen >= 12
+
+
+def certify_table_oracle(w, c):
+  """certify's residual [[u, v], t] + [[v, t], u] - [[u, t], v] by the
+  sparse oracle on the induced table T[(i, a), (j, b), (s, e)] =
+  W^{ij}_s c_ab^e: its cyclic term [[t, u], v] reads -T[u, t] when the
+  first bracket is the antisymmetric table cut from T's upper pairs."""
+  nd = w.n * c.dim
+  x = w.dense.astype(object)[:, None, :, None, :, None]
+  y = c.dense.astype(object)[None, :, None, :, None, :]
+  table = (x * y).reshape(nd, nd, nd)
+  upper = table * np.triu(np.ones((nd, nd), dtype=int), 1)[:, :, None]
+  scale = w.scale * c.scale
+  return sparse_jacobi_oracle(nd, [
+      (StructureConstants(nd, upper - upper.transpose(1, 0, 2), scale),
+       StructureConstants(nd, table, scale))])
+
+
+@pytest.mark.parametrize("tier", TIERS, ids=lambda t: np.dtype(t).name)
+def test_certify_witness_of_one_sided_tensors_in_every_tier(tier):
+  # one-sided W (entries at i <= j only) make an induced table that is not
+  # antisymmetric.  A W on the blocks m.. of G^n only has no residual at a
+  # u = (i, a) with i < m, nor at a central a of G, so the witnesses fall in
+  # every block of the schedule at n*d = 12
+  rng = random.Random(2512)
+  big, blocks = TIERS[tier], set()
+  sl2 = builtin_algebra("sl2")
+  for c, n in ((sl2, 4), (builtin_algebra("gl(2)"), 3),
+               (builtin_algebra("so(4)"), 2), (sl2, 2),
+               (direct_sum([BLOCKS[-1], sl2]), 3),
+               (direct_sum([BLOCKS[-1], R2]), 4),
+               (direct_sum([BLOCKS[-1]] * 3 + [sl2]), 2)):
+    starts = [u0 for u0, *_ in _jacobi_plan(n * c.dim)]
+    for i, j, s in itertools.product(range(n), repeat=3):
+      if i > j:
+        continue
+      m = min(i, j, s)
+      k = sorted((rng.randrange(m, n), rng.randrange(m, n)))
+      w = make_wtensor(n, {(i, j, s): big,
+                           (*k, rng.randrange(m, n)): -big - 1})
+      assert _exact_sum_dtype(
+          3 * n * c.dim * (w.max_abs * c.max_abs)**2) is tier
+      report = jacobi_certify(w, c)
+      assert report == certify_table_oracle(w, c)
+      if not report.ok and n * c.dim == 12:
+        blocks.add(max(u0 for u0 in starts if u0 <= report.violation[0]))
+  assert blocks == {0, 1, 3, 7}
