@@ -210,25 +210,24 @@ def ad_matrix(c: StructureConstants, x) -> np.ndarray:
                    for b in range(c.dim)], dtype=object).T
 
 
-# a block of leading indices grows while its two products hold at most this
-# many entries; it always holds one index
-_BLOCK_ENTRIES = 2**16
+# entry caps of a block's two products: the first block halves from all
+# indices, one block up to n = 10, and the later ones from twice the last
+_BLOCK_ENTRIES, _FIRST_ENTRIES = 2**16, 2**13
 
 
 @lru_cache(maxsize=16)
 def _jacobi_plan(n: int) -> list[tuple]:
-  """``_jacobiator``'s blocks [u0, u1) at dimension n, of 1, 2, 4, ... u while
-  their products hold at most ``_BLOCK_ENTRIES`` entries: the ranges of
-  their rows (u, v) and of the rows (v, t) above u0 among the pairs x < y,
-  and the product rows of B[u, v, t], B[u, t, v] and B[v, t, u] for their
-  triples u < v < t in C order (intp: C(64, 3) * 24 B, 1 MB, at n = 64)."""
+  """``_jacobiator``'s blocks [u0, u1) at dimension n: the ranges of their
+  rows (u, v) and of the rows (v, t) above u0 among the pairs x < y, and the
+  product rows of B[u, v, t], B[u, t, v] and B[v, t, u] for their triples
+  u < v < t in C order (intp: C(64, 3) * 24 B, 1 MB, at n = 64)."""
   x = np.arange(n + 1)
   start = x * (2 * n - 1 - x) // 2  # start[x]: the pairs before (x, x + 1)
-  plan, u0, size = [], 0, 1
+  plan, u0, size, cap = [], 0, n, _FIRST_ENTRIES
   while u0 < n - 2:
     w, size = n - 1 - u0, min(size, n - 2 - u0)  # w: the columns t > u0
     while size > 1 and n * ((start[u0 + size] - start[u0]) * w +
-                            w * (w - 1) // 2 * size) > _BLOCK_ENTRIES:
+                            w * (w - 1) // 2 * size) > cap:
       size //= 2
     u1 = u0 + size
     u, v, t = np.nonzero(_UPPER[u0:u1, :n, None] & _UPPER[:n, :n])  # u from u0
@@ -236,7 +235,7 @@ def _jacobi_plan(n: int) -> list[tuple]:
     plan.append((u0, u1, start[u0], start[u1], start[u0 + 1],
                  (rows + v) * w + t - u0 - 1, (rows + t) * w + v - u0 - 1,
                  (start[v] - start[u0 + 1] + t - v - 1) * size + u))
-    u0, size = u1, 2 * size
+    u0, size, cap = u1, 2 * size, _BLOCK_ENTRIES
   return plan
 
 
@@ -285,12 +284,16 @@ def center_basis(c: StructureConstants) -> list[tuple[Fraction, ...]]:
   Solves the linear system sum_a x_a c_ab^e = 0 over all (b, e), on the
   cleared numerators (row b*d + e, column a).  ``nullspace`` reads its basis
   off the reduced form, which depends only on the row space, so it is given
-  each distinct row once, in order of first appearance.
+  each distinct row once (above d = 6, the nonzero ones by ``np.unique``).
   """
   d = c.dim
-  system = c.dense.transpose(1, 2, 0).reshape(d * d, d)
-  rows = dict.fromkeys(map(tuple, system.tolist()))
-  return nullspace(np.array(list(rows), dtype=system.dtype).reshape(-1, d))
+  rows = c.dense.transpose(1, 2, 0).reshape(d * d, d)
+  if d <= 6 or rows.dtype == object:  # fewer calls, or Python integers
+    return nullspace(np.array(list(dict.fromkeys(map(tuple, rows.tolist()))),
+                              dtype=rows.dtype).reshape(-1, d))
+  rows = rows[rows.any(axis=1)]
+  return nullspace(rows[np.unique(rows.view(f"V{8 * d}").ravel(),
+                                  return_index=True)[1]])
 
 
 def mixed_jacobi_check(first: StructureConstants,

@@ -505,65 +505,64 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
       (x.shape[0] * y.shape[0],) * 3)
 
 
-def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-  """sum_m x[m, j, k, t] * y[m, b, c, f] laid out as [(j, b), (k, c), (t, f)]
-  by one (n^3 x m) by (m x d^3) product, then one transposed copy."""
-  n, d = x.shape[1], y.shape[1]
-  return (x.reshape(len(x), -1).T @ y.reshape(len(y), -1)).reshape(
-      n, n, n, d, d, d).transpose(0, 3, 1, 4, 2, 5).reshape((n * d,) * 3)
+def _witness_slice(xy: np.ndarray, pq: np.ndarray) -> np.ndarray:
+  """x[k, t] p[b, c, f] + y[k, t] q[b, c, f] at [k, t, b, c, f], ``xy`` =
+  [x, y], ``pq`` = [p, q]: one (K x 2)(2 x d^3) product in its own layout."""
+  return (xy.reshape(2, -1).T @ pq.reshape(2, -1)).reshape(
+      xy.shape[1:] + pq.shape[1:])
 
 
 def _certify_rank_two(wd: np.ndarray, cd: np.ndarray,
                       scale: int) -> JacobiReport:
   """Jacobi residual of the extension bracket through G's Jacobi identity.
 
-  At u = (i, a), v = (j, b), t = (k, c), [[u, v], t] + [[v, t], u] -
-  [[u, t], v] is A(ijk) D(abc) + A(jki) D(bca) - A(ikj) D(acb), with
-  A(ijk) = sum_s W^{ij}_s W^{sk}_t and D(abc) = [[e_a, e_b], e_c].  G is Lie
-  (checked), so D(acb) = p + q, p = D(abc), q = D(bca), and the block of u
-  is x p^T + y q^T, x = A(ijk) - A(ikj), y = A(jki) - A(ikj): zero iff its
-  column at the first nonzero row (ps, qs) of [p q] is zero and [p q] has
-  rank below 2 or x = y = 0.  Nonzero blocks are built in u order, each as
-  one product (``_outer_sum``), until one has an entry u < v < t (for a
-  symmetric W the first one has).  No step assumes W symmetric.
+  At u = (i, a), v = (j, b), t = (k, c) it is A(ijk) D(abc) + A(jki) D(bca)
+  - A(ikj) D(acb), A(ijk) = sum_s W^{ij}_s W^{sk}_t, D(abc) = [[e_a, e_b],
+  e_c].  G is Lie (checked), so D(acb) = p + q, p = D(abc), q = D(bca), and
+  the block of u is x p^T + y q^T, x = A(ijk) - A(ikj), y = A(jki) - A(ikj):
+  zero iff its column at the first nonzero row (ps, qs) of [p q] is zero and
+  [p q] has rank below 2 or x = y = 0.  D = 0 or x = y = 0 (every valid W)
+  passes at once; else a nonzero block, in u order, is searched one index j
+  >= i of v at a time (``_witness_slice``) for an entry u < v < t.
   """
   n, d = wd.shape[0], cd.shape[0]
   left, right = cd.reshape(d * d, d), cd.reshape(d, d * d)
-  parts, step = [], max(1, 2**18 // d**3)  # a per pass: 2^18 entries of D
+  flat, step = True, max(1, 2**18 // d**3)  # a per pass: 2^18 entries of D
+
+  def part(a0: int, a1: int):  # p = D(abc), q = D(bca) at [a - a0, b, c, f]
+    p = (left[a0 * d:a1 * d] @ right).reshape(-1, d, d, d)
+    q = p if a1 - a0 == d else (  # all of D: q is a view of p
+        left @ cd[:, a0:a1].reshape(d, -1)).reshape(d, d, -1, d)
+    return p, q.transpose(2, 0, 1, 3)
+
   for a0 in range(0, d, step):
-    p = (left[a0 * d:(a0 + step) * d] @ right).reshape(-1, d, d, d)
-    q = (left @ cd[:, a0:a0 + step].reshape(d, -1)).reshape(d, d, -1, d)
-    q = q.transpose(2, 0, 1, 3)  # p = D(abc), q = D(bca) at [a, b, c, f]
-    jacobiator = p - p.transpose(0, 2, 1, 3) + q  # D(abc) - D(acb) + D(bca)
-    if jacobiator.any():
-      a, b, c, f = _first_nonzero(jacobiator)
-      raise ValueError(f"algebra fails Jacobi at {(a + a0, b, c, f)}")
-    p, q = (x.reshape(len(x), -1) for x in (p, q))
-    first = np.arange(len(p)), ((p != 0) | (q != 0)).argmax(axis=1)
-    # q = p^T - p, so [p q] has rank below 2 iff q = 0 or q = -2p
-    parts.append((p[first], q[first], (q != 0).any(1) & (q != -2 * p).any(1)))
-  ps, qs, rank2 = (np.concatenate(x) for x in zip(*parts))
-  if not (ps.any() or qs.any()):  # D = 0: G is 2-step nilpotent
+    p, q = part(a0, min(a0 + step, d))  # D(abc) - D(acb) + D(bca) = 0:
+    if (hit := _first_nonzero(p - p.transpose(0, 2, 1, 3) + q)) is not None:
+      raise ValueError(f"algebra fails Jacobi at {(hit[0] + a0, *hit[1:])}")
+    flat = flat and not p.any()
+  if flat:  # D = 0: G is 2-step nilpotent
     return JacobiReport(ok=True)
   aw = (wd.reshape(n * n, n) @ wd.reshape(n, n * n)).reshape(n, n, n, n)
-  # A(ijk), A(jki) and A(ikj) at [i, (j, k, t)]
-  orders = np.stack([aw, aw.transpose(2, 0, 1, 3), aw.transpose(0, 2, 1, 3)])
-  coef = np.stack([ps, qs, -(ps + qs)], axis=1)
-  column = (coef @ orders.reshape(3, -1) != 0).reshape(d, n, -1).any(axis=2)
-  same = (orders == orders[2]).reshape(3, n, -1)
-  blocks = column.T | rank2 & ~(same[0] & same[1]).all(axis=1)[:, None]
-  later = _UPPER[:n * d, :n * d]  # later[v, t]: t > v
-  for u in np.flatnonzero(blocks).tolist():
-    i, a = divmod(u, d)
-    dabc = (left[a * d:a * d + d] @ right).reshape(d, d, d)
-    # D(bca) and D(acb) at [b, c, f], against A(jki) and A(ikj) at [j, k, t]
-    r = _outer_sum(orders[:, i], np.stack([
-        dabc, (left @ cd[:, a]).reshape(d, d, d), -dabc.transpose(1, 0, 2)]))
-    hit = _first_nonzero((r[u + 1:] != 0) & later[u + 1:, :, None])
-    if hit is not None:
-      v, t, f = hit[0] + u + 1, hit[1], hit[2]
-      return JacobiReport(ok=False, violation=(u, v, t, f),
-                          residual=Fraction(int(r[v, t, f]), scale**2))
+  xy = np.stack([aw, aw.transpose(2, 0, 1, 3)])  # x, y at [i, j, k, t]
+  xy -= aw.transpose(0, 2, 1, 3)
+  later = _UPPER[:d, :n * d].reshape(d, n, d, 1, 1)  # [b, k - j, c]: t > v
+  for i in np.flatnonzero(xy.reshape(2, n, -1).any(axis=(0, 2))).tolist():
+    for a in range(d):
+      pq = np.concatenate(part(a, a + 1) if step < d else (p[a:a + 1],
+                                                          q[a:a + 1]))
+      pqf = pq.reshape(2, -1)  # q = p^T - p: rank 2 iff q != 0 and q != -2p
+      if not ((pqf[:, (pqf != 0).any(0).argmax()] @ xy[:, i].reshape(2, -1)
+               ).any() or pqf[1].any() and (pqf[1] != -2 * pqf[0]).any()):
+        continue
+      for j in range(i + (a == d - 1), n):
+        b0 = a + 1 if j == i else 0  # v = (j, b) > u = (i, a)
+        r = _witness_slice(xy[:, i, j, j:], pq[:, b0:])  # k >= j, b >= b0
+        if (hit := _first_nonzero((r != 0).transpose(2, 0, 3, 1, 4)
+                                  & later[b0:, :n - j])) is not None:
+          b, k, c, t, f = hit
+          return JacobiReport(
+              ok=False, residual=Fraction(int(r[k, t, b, c, f]), scale**2),
+              violation=(i * d + a, j * d + b0 + b, (j + k) * d + c, t * d + f))
   return JacobiReport(ok=True)
 
 
@@ -571,9 +570,7 @@ def _certify_induced(wd: np.ndarray, cd: np.ndarray,
                      scale: int) -> JacobiReport:
   """Certify's residual [[u, v], t] + [[v, t], u] - [[u, t], v], u < v < t,
   by the table kernel ``_jacobiator`` on T[(i,a), (j,b), (s,e)] =
-  W^{ij}_s c_ab^e, the outer product of ``wd`` and ``cd``, for any W: the
-  Jacobiator of T when W is symmetric (T is then antisymmetric), and the
-  same form read off the whole of T when it is not."""
+  W^{ij}_s c_ab^e, for any W (T's Jacobiator when W is symmetric)."""
   table = _outer(wd, cd)
   return _jacobiator(table, table, scale)
 

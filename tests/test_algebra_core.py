@@ -962,18 +962,28 @@ def test_tables_of_different_dimension_are_refused():
 
 
 def test_jacobi_plan_visits_every_triple_once_in_c_order():
+  def entries(n, u0, block):
+    """The two products' entries of the block [u0, u0 + block)."""
+    pairs = sum(n - 1 - x for x in range(u0, u0 + block))
+    w = n - 1 - u0
+    return (pairs * w + w * (w - 1) // 2 * block) * n
+
   for n in range(3, 65):
-    triples, size = [], 1
-    for u0, u1, p0, p1, p2, uvt, utv, vtu in _jacobi_plan(n):
+    plan = _jacobi_plan(n)
+    triples, size, cap = [], n, algebra_core._FIRST_ENTRIES
+    for u0, u1, p0, p1, p2, uvt, utv, vtu in plan:
       assert uvt.dtype == utv.dtype == vtu.dtype == np.intp
       w, block = n - 1 - u0, u1 - u0
-      # block sizes double from one u, or halve under the entry cap
+      # the first block is all n - 2 indices, later ones double the last,
+      # each halved while its products hold more entries than its cap
+      limit = min(size, n - 2 - u0)
+      halved = [limit >> k for k in range(limit.bit_length())]
+      assert block in halved, (n, u0)
+      assert all(entries(n, u0, x) > cap for x in halved[:halved.index(block)])
+      assert block == 1 or entries(n, u0, block) <= cap
+      size, cap = 2 * block, algebra_core._BLOCK_ENTRIES
       pairs = [(x, y) for x in range(u0, u1) for y in range(x + 1, n)]
       above = [(x, y) for x in range(u0 + 1, n) for y in range(x + 1, n)]
-      entries = (len(pairs) * w + len(above) * block) * n
-      assert block == 1 or entries <= algebra_core._BLOCK_ENTRIES
-      assert block <= size or block == n - 2 - u0 < size
-      size = 2 * block
       upper = [(x, y) for x in range(n) for y in range(x + 1, n)]
       assert (upper[p0:p1], upper[p2:]) == (pairs, above)
       row = {pair: k for k, pair in enumerate(pairs)}
@@ -988,6 +998,8 @@ def test_jacobi_plan_visits_every_triple_once_in_c_order():
                              row_above[(v, t)] * block + u - u0)
         triples.append((u, v, t))
     assert triples == list(itertools.combinations(range(n), 3)), n
+    # one block up to n = 10; from n = 16 on, a first block of one index
+    assert len(plan) == 1 if n <= 10 else plan[0][1] == 1 if n >= 16 else True
 
 
 # numerators of the failing brackets per tier: a scan at d >= 3 sums 3d
@@ -1027,8 +1039,8 @@ def assert_table_scans_match(c, tier):
 
 @pytest.mark.parametrize("tier", TIERS, ids=lambda t: np.dtype(t).name)
 def test_kernel_witness_at_every_basis_triple_in_every_tier(tier):
-  # every block boundary of the schedule up to d = 12: (0, 1), (1, 3),
-  # (3, 7) and (7, 10)
+  # every block boundary of the schedule up to d = 12: one block up to
+  # d = 10, (0, 4) and (4, 9) at d = 11, (0, 2), (2, 6) and (6, 10) at 12
   rng = random.Random(2510)
   for d in range(3, 13):
     for triple in itertools.combinations(range(d), 3):
@@ -1076,7 +1088,7 @@ def test_certify_witness_of_one_sided_tensors_in_every_tier(tier):
   # one-sided W (entries at i <= j only) make an induced table that is not
   # antisymmetric.  A W on the blocks m.. of G^n only has no residual at a
   # u = (i, a) with i < m, nor at a central a of G, so the witnesses fall in
-  # every block of the schedule at n*d = 12
+  # every block of the schedule at n*d = 12: (0, 2), (2, 6) and (6, 10)
   rng = random.Random(2512)
   big, blocks = TIERS[tier], set()
   sl2 = builtin_algebra("sl2")
@@ -1099,4 +1111,4 @@ def test_certify_witness_of_one_sided_tensors_in_every_tier(tier):
       assert report == certify_table_oracle(w, c)
       if not report.ok and n * c.dim == 12:
         blocks.add(max(u0 for u0 in starts if u0 <= report.violation[0]))
-  assert blocks == {0, 1, 3, 7}
+  assert blocks == {u0 for u0, *_ in _jacobi_plan(12)} == {0, 2, 6}

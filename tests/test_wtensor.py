@@ -1127,12 +1127,14 @@ def test_certify_witness_of_dense_tensors_at_the_largest_shapes():
 
 @pytest.fixture
 def built(monkeypatch):
-  """The x argument's shape of every call of the block builder: certify's
-  rank-two route builds each (nd)^3 block as one sum of outer products."""
+  """(n - j, d - b0) of every slice certify's rank-two route builds: it
+  searches a nonzero block u = (i, a) one leading index j >= i of v = (j, b)
+  at a time, over b >= b0, as one product of [x, y] at [2, k >= j, t] and
+  [p, q] at [2, b >= b0, c, f]."""
   calls = []
-  outer_sum = wtensor._outer_sum
-  monkeypatch.setattr(wtensor, "_outer_sum", lambda x, y: (
-      calls.append(x.shape) or outer_sum(x, y)))
+  build = wtensor._witness_slice
+  monkeypatch.setattr(wtensor, "_witness_slice", lambda xy, pq: (
+      calls.append((xy.shape[1], pq.shape[1])) or build(xy, pq)))
   return calls
 
 
@@ -1140,13 +1142,16 @@ def test_certify_witness_in_the_last_block_that_can_hold_one(built):
   # a block u = (i, a) whose v and t lie in block i too is zero (it is G's
   # Jacobiator times A(iii)), so block n - 2 is the last that can hold a
   # witness; coupling only blocks n - 2 and n - 1 puts it there, and it is
-  # the first and only block built
+  # the first and only block searched: its slice j = n - 2 (b > a = 0) has
+  # no entry, and its witness v lies in slice j = n - 1
   for name, n in LARGEST_SHAPES + (("so3", 2), ("gl(2)", 3)):
     g = builtin_algebra(name)
     w = make_wtensor(n, {(n - 2, n - 1, n - 2): 1, (n - 1, n - 2, n - 2): 1})
     built.clear()
     rep = jacobi_certify(w, g)
-    assert rep.violation[0] == (n - 2) * g.dim and len(built) == 1, name
+    assert rep.violation[0] == (n - 2) * g.dim, name
+    assert rep.violation[1] // g.dim == n - 1, name
+    assert built == [(2, g.dim - 1), (1, g.dim)], name
     assert rep == factorised_oracle(w, g), name
     if n * g.dim <= 12:  # certify_oracle takes over a second at n*d = 36
       assert rep == certify_oracle(w, g), name
@@ -1210,54 +1215,140 @@ def test_every_branch_of_the_block_zero_test(built):
                                     (2, 3): {5: 1}, (0, 6): {5: 2}})
   assert validate_structure_constants(n7).ok
 
-  def check(w, g, violation, blocks):
+  def check(w, g, violation, slices):
     """The residual blocks of w over g, checking the report against the
-    oracle and the number of blocks built."""
+    oracle and the slices built, (n - j, d - b0) each (see ``built``)."""
     built.clear()
     rep = jacobi_certify(w, g)
     assert rep == certify_oracle(w, g) and rep.violation == violation
-    assert len(built) == blocks, (w.entries, g.name)
+    assert built == slices, (w.entries, g.name)
     return residual_blocks(w, g)
 
-  # x = y = 0 for a valid W: no block is built, whatever the rank of [p q]
+  # x = y = 0 for a valid W: nothing is searched, whatever the rank of [p q]
   for i in range(2):
     x, y, p, q = block_parts(direct_sum_w(2), sl2, i, 0)
     assert not (x.any() or y.any()) and rank(np.stack([p, q])) == 2
-  assert not check(direct_sum_w(2), sl2, None, 0).any()
-  # x parallel to y, [p q] of rank 1 with p, q != 0: block 0 cancels
+  assert not check(direct_sum_w(2), sl2, None, []).any()
+  # x parallel to y, [p q] of rank 1 with p, q != 0: block 0 cancels, and
+  # block 1, u = (0, 1), is the one searched
   w = make_wtensor(3, {(0, 1, 2): -1, (0, 2, 1): -1, (1, 1, 2): 1,
                        (2, 2, 2): -1})
   x, y, p, q = block_parts(w, n7, 0, 0)
   assert x.any() and y.any() and rank(np.stack([x, y])) == 1
   assert p.any() and q.any() and rank(np.stack([p, q])) == 1
-  assert not check(w, n7, (1, 7, 17, 19), 1)[0].any()
+  assert not check(w, n7, (1, 7, 17, 19), [(3, 5), (2, 7)])[0].any()
   # x = 0 != y: block 0 is zero where [p q] has rank 1 (q = 0), and it
-  # holds the violation where [p q] has rank 2
+  # holds the violation where [p q] has rank 2.  Over r2 the witness u =
+  # (0, 1) is G's last index, so v lies in block 1 only
   w = make_wtensor(2, {(0, 1, 0): 1, (1, 1, 1): -1})
-  for g, violation, rank_pq in ((r2, (1, 2, 3, 0), 1), (sl2, (0, 3, 4, 1), 2)):
+  for g, violation, rank_pq, slices in ((r2, (1, 2, 3, 0), 1, [(1, 2)]),
+                                        (sl2, (0, 3, 4, 1), 2,
+                                         [(2, 2), (1, 3)])):
     x, y, p, q = block_parts(w, g, 0, 0)
     assert not x.any() and y.any() and rank(np.stack([p, q])) == rank_pq
-    assert check(w, g, violation, 1)[0].any() == (rank_pq == 2)
+    assert check(w, g, violation, slices)[0].any() == (rank_pq == 2)
   # y = 0 != x over sl2: the column at (ps, qs) = (0, -4) vanishes, and
   # only the rank of [p q] says the block is not zero
   w = make_wtensor(2, {(1, 0, 0): -1, (0, 1, 1): 1})
   x, y, p, q = block_parts(w, sl2, 0, 0)
   assert x.any() and not y.any() and rank(np.stack([p, q])) == 2
-  assert check(w, sl2, (0, 1, 3, 1), 1)[0].any()
-  # independent x, y and p = q = 0: every block is zero, none is built
+  assert check(w, sl2, (0, 1, 3, 1), [(2, 2)])[0].any()
+  # independent x, y and p = q = 0: every block is zero, none is searched
   w = make_wtensor(2, {(0, 0, 1): 1, (1, 1, 0): 1})
   for g in (h3, builtin_algebra("abelian(2)")):
     x, y, p, q = block_parts(w, g, 0, 0)
     assert rank(np.stack([x, y])) == 2 and not (p.any() or q.any())
-    assert not check(w, g, None, 0).any()
-  assert check(w, sl2, (0, 1, 3, 1), 1)[0].any()
+    assert not check(w, g, None, []).any()
+  assert check(w, sl2, (0, 1, 3, 1), [(2, 2)])[0].any()
   # a one-sided W whose first three blocks are not zero but have no entry
-  # u < v < t, so the scan goes on to block 3
+  # u < v < t, so the search reads all their slices (none at j = i for
+  # a = 2, where b > a is empty) and goes on to block 3
   w = make_wtensor(3, {(2, 2, 0): 2, (1, 0, 1): -1, (1, 1, 2): -1})
-  r = check(w, sl2, (3, 4, 6, 1), 4)
+  r = check(w, sl2, (3, 4, 6, 1), [(3, 2), (2, 3), (1, 3), (3, 1), (2, 3),
+                                   (1, 3), (2, 3), (1, 3), (2, 2)])
   assert all(r[u].any() for u in range(3)) and not any(
       r[u, v, t].any() for u in range(3) for v in range(u + 1, 9)
       for t in range(v + 1, 9))
+
+
+def searched_slices(w, c, report):
+  """The slices (n - j, d - b0) the rank-two route must build for
+  ``report``, read off the residual blocks: every slice j >= i of each
+  nonzero block u = (i, a) before the witness's, b0 = a + 1 at j = i and 0
+  after it (none when b0 = d), then the witness block's up to its v."""
+  n, d = w.n, c.dim
+  r = residual_blocks(w, c)
+  slices = []
+  last = report.violation[0] if not report.ok else n * d - 1
+  for u in range(last + 1):
+    if not r[u].any():
+      continue
+    i, a = divmod(u, d)
+    for j in range(i, n):
+      b0 = a + 1 if j == i else 0
+      if b0 < d:
+        slices.append((n - j, d - b0))
+      if u == last and not report.ok and j == report.violation[1] // d:
+        break
+  return slices
+
+
+def test_the_witness_search_reads_one_slice_at_a_time(built):
+  # a witness whose v lies in a later block than u's: the stored witness
+  # moved to blocks x < y puts u in block x and v in block y, so the
+  # search reads the slices j = x..y of block u; and one-sided W whose
+  # first nonzero blocks hold no entry u < v < t, so the search moves on
+  # to later u
+  sl2 = builtin_algebra("sl2")
+  cases = [(make_wtensor(n, {(x, y, x): 1, (y, x, x): 1}), builtin_algebra(g))
+           for x, y, n in ((0, 1, 2), (0, 2, 3), (1, 2, 3), (0, 3, 4),
+                           (1, 3, 4)) for g in ("sl2", "so3", "gl(2)")]
+  cases += [(make_wtensor(3, {(2, 2, 0): 2, (1, 0, 1): -1, (1, 1, 2): -1}),
+             sl2),
+            (make_wtensor(4, {(1, 0, 2): 1, (2, 2, 3): F(1, 2),
+                              (3, 3, 0): F(1, 2)}), sl2)]
+  rng = random.Random(2601)
+  for _ in range(30):  # one-sided: entries W^{ij}_s with i >= j only
+    g = builtin_algebra(rng.choice(("sl2", "so3", "gl(2)")))
+    n = rng.randint(2, 12 // g.dim)
+    entries = {}
+    for _ in range(rng.randint(1, 3)):
+      j, i = sorted((rng.randrange(n), rng.randrange(n)))
+      entries[(i, j, rng.randrange(n))] = rng.choice((1, -1, 2, F(1, 2)))
+    cases.append((make_wtensor(n, entries), g))
+  later, skipped, counts = 0, 0, []
+  for w, g in cases:
+    built.clear()
+    rep = jacobi_certify(w, g)
+    assert rep == factorised_oracle(w, g) == certify_oracle(w, g), g.name
+    assert built == searched_slices(w, g, rep), (w.entries, g.name)
+    counts.append(len(built))
+    if not rep.ok:
+      u, v = rep.violation[:2]
+      later += v // g.dim > u // g.dim
+      # more slices than the witness block has: an earlier block was read
+      skipped += len(built) > w.n - u // g.dim
+  assert later >= 15 and skipped >= 2
+  # x < y: slices j = x..y; the two one-sided W read three blocks first
+  assert counts[:15] == [y - x + 1 for x, y in ((0, 1), (0, 2), (1, 2), (0, 3),
+                                                (1, 3)) for _ in range(3)]
+  assert counts[15:17] == [9, 9]
+  # d^4 > 2^18: D is read a pass at a time, and a searched block's p and q
+  # are formed again.  Over gl(3) on the last 9 of 25 basis vectors (the
+  # rest central) the witness block lies in D's second pass
+  gl3 = builtin_algebra("gl(3)").table
+  shifted = make_structure_constants(25, {
+      (a + 16, b + 16): {e + 16: v for e, v in row.items()}
+      for (a, b), row in gl3.items()})
+  for g, u in ((builtin_algebra("gl(5)"), 0), (builtin_algebra("so(8)"), 0),
+               (shifted, 16)):
+    assert g.dim**4 > 2**18
+    for w in (invalid_witness_w(), make_wtensor(2, {(0, 1, 1): 1,
+                                                    (0, 0, 0): 1})):
+      built.clear()
+      rep = jacobi_certify(w, g)
+      assert rep == factorised_oracle(w, g) and rep.violation[0] == u
+      assert built[0] == (2, g.dim - 1 - u) and len(built) <= 2
 
 
 def test_certify_refuses_an_algebra_that_fails_jacobi():
